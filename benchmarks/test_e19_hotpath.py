@@ -1,5 +1,5 @@
 """E19 — hot-path performance: header cache, fast reader, lazy DUCTAPE
-load, tree merge.
+load, linear merge.
 
 Regenerates the before/after table for the four hot-path optimisations,
 asserting each gate *and* byte-equality of the outputs (the entire
@@ -13,9 +13,10 @@ point is zero observable change):
   (``strict=True``) over the same PDB text: >= 2x, identical document;
 * **lazy load** — opening a large database and touching one routine vs
   eagerly materialising every wrapper: >= 5x;
-* **tree merge** — pairwise reduction vs the serial left fold: parity
-  at N=4 (the reduction keeps the fold shape below ``TREE_MIN_FANIN``),
-  faster at N=16, byte-identical at N in {2, 4, 16}.
+* **linear merge** — ``merge_pdbs`` (one merge index kept across the
+  fold) vs a fold of pairwise ``PDB.merge`` calls (each re-indexing the
+  whole accumulator): >= 2x at N=16, time(N=64) / time(N=16) <= 6,
+  byte-identical at N in {2, 4, 16, 64}.
 
 Timings are interleaved best-of-N so background noise hits both sides
 equally.  Results land in ``BENCH_E19.json`` (CI uploads it as an
@@ -35,7 +36,7 @@ from repro.ductape.pdb import PDB
 from repro.pdbfmt.items import PdbDocument, RawItem
 from repro.pdbfmt.reader import parse_pdb
 from repro.pdbfmt.writer import write_pdb
-from repro.tools.pdbmerge import merge_pdbs, merge_pdbs_tree
+from repro.tools.pdbmerge import merge_pdbs
 from repro.workloads.synth import SynthSpec, generate
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_E19.json"
@@ -117,7 +118,7 @@ def _tu_pdb(tu: int, shared=60, unique=120) -> PDB:
     """Realistic merge input: items shared across every TU (headers)
     plus per-TU unique definitions (the TU's own code).  Deliberately
     lean on attributes — merge cost is dominated by key computation and
-    duplicate scans, which is what the tree reduction attacks."""
+    duplicate scans, which is what the merge index attacks."""
     doc = PdbDocument()
     so = RawItem("so", 1, f"tu{tu}.cpp")
     so.add("skind", "source")
@@ -147,7 +148,7 @@ def _tu_pdb(tu: int, shared=60, unique=120) -> PDB:
 @pytest.fixture(scope="module")
 def e12_text() -> str:
     """A real merged database (the E12 pipeline's shape): synth corpus
-    through frontend + analyzer + tree merge, written to text.  Genuine
+    through frontend + analyzer + merge, written to text.  Genuine
     attribute density is what the reader/lazy measurements need —
     hand-rolled sparse items understate both."""
     spec = SynthSpec(
@@ -162,7 +163,7 @@ def e12_text() -> str:
     fe = Frontend(FrontendOptions())
     fe.register_files(corpus.files)
     pdbs = [PDB(analyze(t)) for t in fe.compile_many(corpus.main_files)]
-    merged, _, _ = merge_pdbs_tree(pdbs)
+    merged, _ = merge_pdbs(pdbs)
     return write_pdb(merged.doc)
 
 
@@ -276,49 +277,50 @@ def test_e19_lazy_load_speedup(e12_text):
     assert speedup >= 5.0
 
 
-def test_e19_tree_merge():
-    # byte-identity at N in {2, 4, 16}, pairwise shape forced
-    for n in (2, 4, 16):
-        serial, _ = merge_pdbs([_tu_pdb(i) for i in range(n)])
-        tree, _, _ = merge_pdbs_tree([_tu_pdb(i) for i in range(n)], min_fanin=2)
-        assert tree.to_text() == serial.to_text(), f"tree != fold at N={n}"
+def _pairwise_fold(pdbs):
+    """A fold of pairwise ``PDB.merge`` calls: each call indexes the
+    whole accumulator, so the fold is quadratic in the number of inputs."""
+    acc = PDB.from_text(pdbs[0].to_text())
+    for p in pdbs[1:]:
+        acc.merge(p)
+    return acc
 
-    rows = {}
-    for n in (4, 16):
-        inputs = [_tu_pdb(i) for i in range(n)]
 
-        def run_serial():
-            merge_pdbs(inputs)
+def test_e19_linear_merge():
+    # byte-identity at N in {2, 4, 16, 64}
+    inputs = {n: [_tu_pdb(i) for i in range(n)] for n in (2, 4, 16, 64)}
+    for n, pdbs in inputs.items():
+        linear, _ = merge_pdbs(pdbs)
+        assert linear.to_text() == _pairwise_fold(pdbs).to_text(), f"N={n}"
 
-        def run_tree():
-            merge_pdbs_tree(inputs)
-
-        # neither path mutates its inputs (the result of the tree path
-        # may alias them, but each timing run discards it), so both
-        # sides reuse the same prebuilt set
-        t_serial, t_tree = _interleaved(run_serial, run_tree, repeats=5)
-        rows[n] = {
-            "serial_s": round(t_serial, 4),
-            "tree_s": round(t_tree, 4),
-            "ratio": round(t_serial / t_tree, 2),
-        }
-        print(
-            f"\nE19 tree merge N={n}: serial={t_serial * 1000:.1f}ms "
-            f"tree={t_tree * 1000:.1f}ms -> {t_serial / t_tree:.2f}x"
-        )
+    # neither path mutates its inputs, so every run reuses the same set
+    t_linear, t_pairwise = _interleaved(
+        lambda: merge_pdbs(inputs[16]), lambda: _pairwise_fold(inputs[16]), repeats=5
+    )
+    t16, t64 = _interleaved(
+        lambda: merge_pdbs(inputs[16]), lambda: merge_pdbs(inputs[64]), repeats=5
+    )
+    speedup = t_pairwise / t_linear
+    growth = t64 / t16
     _record(
-        "tree_merge",
+        "linear_merge",
         {
             "corpus": "per-TU docs, 60 shared + 120 unique items",
-            "n4": rows[4],
-            "n16": rows[16],
-            "gate": "parity at N=4, faster at N=16, byte-identical",
+            "n16": {
+                "pairwise_s": round(t_pairwise, 4),
+                "linear_s": round(t_linear, 4),
+                "speedup": round(speedup, 2),
+            },
+            "n64_linear_s": round(t64, 4),
+            "n64_over_n16": round(growth, 2),
+            "gate": ">= 2x over pairwise at N=16, N=64/N=16 <= 6, byte-identical",
         },
     )
-    # N=4 keeps the fold shape (TREE_MIN_FANIN) — parity within noise;
-    # the 0.85 floor absorbs timer jitter on loaded CI machines, since
-    # both sides execute the same fold (tree adds only stat summing)
-    assert rows[4]["ratio"] >= 0.85
-    # N=16: the pairwise tree must beat the fold's quadratic re-scans,
-    # including the tree path's corpus-construction overhead
-    assert rows[16]["ratio"] > 1.0
+    print(
+        f"\nE19 linear merge N=16: pairwise={t_pairwise * 1000:.1f}ms "
+        f"linear={t_linear * 1000:.1f}ms -> {speedup:.2f}x; "
+        f"N=64 {t64 * 1000:.1f}ms = {growth:.2f}x N=16"
+    )
+    assert speedup >= 2.0
+    # 4x the inputs: a linear fold takes ~4x as long, a quadratic ~16x
+    assert growth <= 6.0

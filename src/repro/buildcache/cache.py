@@ -2,7 +2,8 @@
 
 Layout under the cache root::
 
-    manifests/<mkey>.json   dependency list of one (options, main-TU) pair
+    manifests/<mkey>.json   dependency list of one (options, main-TU) pair,
+                            plus the object key it was stored under
     objects/<ckey>.pdb      cached per-TU PDB text
     objects/<ckey>.json     metadata (item count, warning count, deps)
 
@@ -30,7 +31,9 @@ sha256 of the stored PDB text, lookups verify it, and any entry that is
 corrupt, truncated, or unreadable (other than plainly absent) is evicted
 on the spot and recompiled — counted in :attr:`CacheStats.evictions`.  A
 damaged cache therefore costs one rebuild, never a wrong or failed
-build.
+build.  A missing object is damage only when it is the one the manifest
+recorded: after an edit the dependencies hash to a key never stored,
+which is a plain miss.
 """
 
 from __future__ import annotations
@@ -164,6 +167,10 @@ class BuildCache:
             pdb_text = opath.read_text()
             meta = json.loads(meta_path.read_text())
         except FileNotFoundError:
+            if manifest.get("object", ckey) != ckey:
+                # a dependency changed since the manifest was written, so
+                # the inputs hash to an object never built: a plain miss
+                return None
             # the manifest promised this object; a half-deleted entry is
             # damage, not a routine miss
             self._evict(mpath, opath, meta_path)
@@ -201,9 +208,13 @@ class BuildCache:
     ) -> str:
         """Record a finished compilation; returns the object key."""
         mpath = self.manifests / (self.manifest_key(fingerprint, main) + ".json")
-        manifest = {"main": main, "deps": [name for name, _ in dep_hashes]}
-        _atomic_write(mpath, json.dumps(manifest, indent=1))
         ckey = self.object_key(fingerprint, main, dep_hashes)
+        manifest = {
+            "main": main,
+            "deps": [name for name, _ in dep_hashes],
+            "object": ckey,
+        }
+        _atomic_write(mpath, json.dumps(manifest, indent=1))
         meta = {
             "main": main,
             "items": items,

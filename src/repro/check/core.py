@@ -4,11 +4,11 @@ A *check* is a whole-program pass over one (possibly merged) PDB through
 the DUCTAPE API.  Each check owns one or more *rules* with stable IDs
 (``PDT0xx``) and severities; running a check yields *findings*.  The
 :class:`CheckContext` precomputes the shared derived structures every
-pass needs — the reverse caller map, the derived-class map, per-file
-item counts, externally-referenced classes — once, in O(items), so no
-checker ever falls back to the O(routines × calls)
-:meth:`PDB.callers_of` scan.  That is what keeps the whole suite inside
-the E18 budget (< 2× a ``pdbtree`` walk of the same corpus).
+pass needs — per-file item counts, externally-referenced classes — once,
+in O(items), and shares DUCTAPE's callee, caller and derived-class maps
+(also built once per PDB), so no checker ever scans every routine per
+query.  That is what keeps the whole suite inside the E18 budget (< 2×
+a ``pdbtree`` walk of the same corpus).
 
 Determinism: checks run in registration order, findings are sorted by
 (file, line, column, rule, item), and every container iterates in PDB
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from repro import obs
@@ -161,58 +162,32 @@ class CheckContext:
         self.pdb = pdb
         #: extra entry-point names for reachability (``main`` is implicit)
         self.entries = list(entries)
-        self._callees: Optional[dict[ItemRef, list[PdbRoutine]]] = None
-        self._callers: Optional[dict[ItemRef, list[PdbRoutine]]] = None
-        self._derived: Optional[dict[ItemRef, list[PdbClass]]] = None
         self._class_refs: Optional[dict[ItemRef, set[ItemRef]]] = None
         self._file_items: Optional[dict[ItemRef, int]] = None
         self._type_classes: dict[ItemRef, list[PdbClass]] = {}
 
-    # each map is one O(items) sweep, replacing per-item O(n) scans
+    # each map is one O(items) sweep, replacing per-item O(n) scans; the
+    # call and class maps are DUCTAPE's, built once per PDB
 
-    @property
+    @cached_property
     def routines(self) -> list[PdbRoutine]:
         return self.pdb.getRoutineVec()
 
-    @property
+    @cached_property
     def classes(self) -> list[PdbClass]:
         return self.pdb.getClassVec()
 
     def callees_map(self) -> dict[ItemRef, list[PdbRoutine]]:
-        """routine ref -> resolved callees: the ``rcall`` records are
-        resolved exactly once, shared by the call-graph condensation
-        (deadcode) and the reverse map below (bloat)."""
-        if self._callees is None:
-            m: dict[ItemRef, list[PdbRoutine]] = {}
-            for r in self.routines:
-                m[r.ref] = [
-                    callee
-                    for callee in (call.call() for call in r.callees())
-                    if callee is not None
-                ]
-            self._callees = m
-        return self._callees
+        """routine ref -> resolved callees (deadcode's call graph)."""
+        return self.pdb.callees_map()
 
     def callers_map(self) -> dict[ItemRef, list[PdbRoutine]]:
-        """callee ref -> callers, one pass over all ``rcall`` records."""
-        if self._callers is None:
-            m: dict[ItemRef, list[PdbRoutine]] = {}
-            callees = self.callees_map()
-            for r in self.routines:
-                for callee in callees[r.ref]:
-                    m.setdefault(callee.ref, []).append(r)
-            self._callers = m
-        return self._callers
+        """callee ref -> callers."""
+        return self.pdb.callers_map()
 
     def derived_map(self) -> dict[ItemRef, list[PdbClass]]:
         """base-class ref -> directly derived classes."""
-        if self._derived is None:
-            m: dict[ItemRef, list[PdbClass]] = {}
-            for c in self.classes:
-                for _acs, _virt, base in c.baseClasses():
-                    m.setdefault(base.ref, []).append(c)
-            self._derived = m
-        return self._derived
+        return self.pdb.derived_map()
 
     def class_refs_map(self) -> dict[ItemRef, set[ItemRef]]:
         """class ref -> refs of the *owners* that mention it.

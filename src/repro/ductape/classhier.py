@@ -25,17 +25,26 @@ class ClassHierarchy:
         return cls.derivedClasses()
 
     def walk(self, root: PdbClass) -> Iterator[tuple[PdbClass, int]]:
-        seen: set = set()
+        """DFS yielding (class, depth) down the derived-class edges.
 
-        def rec(c: PdbClass, depth: int):
+        A class reached again (diamonds, malformed cycles) is yielded
+        but not expanded twice.  The traversal is an explicit-stack DFS,
+        so inheritance chains deeper than Python's recursion limit walk
+        like any other."""
+        yield root, 0
+        seen = {root.ref}
+        stack: list[tuple[Iterator[PdbClass], int]] = [(iter(self.derived(root)), 1)]
+        while stack:
+            children, depth = stack[-1]
+            c = next(children, None)
+            if c is None:
+                stack.pop()
+                continue
             yield c, depth
             if c.ref in seen:
-                return
+                continue
             seen.add(c.ref)
-            for d in self.derived(c):
-                yield from rec(d, depth + 1)
-
-        yield from rec(root, 0)
+            stack.append((iter(self.derived(c)), depth + 1))
 
     def depth_of(self, cls: PdbClass) -> int:
         """Longest base-class chain above ``cls``.

@@ -9,7 +9,7 @@ macros, and namespaces."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 from repro.ductape.items import (
@@ -41,6 +41,10 @@ class MergeStats:
     #: incoming *definition* items whose entity already had a different
     #: definition here — One-Definition-Rule conflicts (see ``odr_log``)
     odr_conflicts: int = 0
+
+    def __add__(self, other: "MergeStats") -> "MergeStats":
+        """Field-wise sum: ``sum(per_fold, MergeStats())`` totals a merge."""
+        return MergeStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 class PDB:
@@ -79,6 +83,9 @@ class PDB:
         invalidate).  Deliberately cheap: no ItemRef or wrapper is
         created here — both happen lazily on first access."""
         self._wrappers.clear()
+        self._callees: Optional[dict[ItemRef, list[PdbRoutine]]] = None
+        self._callers: Optional[dict[ItemRef, list[PdbRoutine]]] = None
+        self._derived: Optional[dict[ItemRef, list[PdbClass]]] = None
         raw_index: dict[str, dict[int, RawItem]] = {}
         for raw in self.doc.items:
             sub = raw_index.get(raw.prefix)
@@ -168,19 +175,59 @@ class PDB:
 
     # -- derived structure queries ----------------------------------------------
 
+    # the call and class maps are built on first use and dropped by
+    # _reindex (a merge invalidates them); each reverse list keeps
+    # routine/class order with no duplicates, exactly what a scan over
+    # the vector would return
+
+    def callees_map(self) -> dict[ItemRef, list[PdbRoutine]]:
+        """routine ref -> its resolved callees, one per ``rcall`` record
+        that resolves, in record order."""
+        if self._callees is None:
+            self._callees = {
+                r.ref: [
+                    callee
+                    for callee in (c.call() for c in r.callees())
+                    if callee is not None
+                ]
+                for r in self.getRoutineVec()
+            }
+        return self._callees
+
+    def callers_map(self) -> dict[ItemRef, list[PdbRoutine]]:
+        """callee ref -> the routines whose ``rcall`` records resolve to it."""
+        if self._callers is None:
+            m: dict[ItemRef, list[PdbRoutine]] = {}
+            callees = self.callees_map()
+            for r in self.getRoutineVec():
+                for callee in callees[r.ref]:
+                    callers = m.setdefault(callee.ref, [])
+                    if not callers or callers[-1] is not r:
+                        callers.append(r)
+            self._callers = m
+        return self._callers
+
+    def derived_map(self) -> dict[ItemRef, list[PdbClass]]:
+        """base-class ref -> the classes deriving directly from it."""
+        if self._derived is None:
+            m: dict[ItemRef, list[PdbClass]] = {}
+            for c in self.getClassVec():
+                for _acs, _virt, base in c.baseClasses():
+                    derived = m.setdefault(base.ref, [])
+                    if not derived or derived[-1] is not c:
+                        derived.append(c)
+            self._derived = m
+        return self._derived
+
     def callers_of(self, routine: PdbRoutine) -> list[PdbRoutine]:
-        out = []
-        for r in self.getRoutineVec():
-            if any(c.call() is routine for c in r.callees()):
-                out.append(r)
-        return out
+        if self.item(routine.ref) is not routine:
+            return []  # not one of this database's wrappers
+        return list(self.callers_map().get(routine.ref, ()))
 
     def derived_of(self, cls: PdbClass) -> list[PdbClass]:
-        out = []
-        for c in self.getClassVec():
-            if any(base is cls for _, _, base in c.baseClasses()):
-                out.append(c)
-        return out
+        if self.item(cls.ref) is not cls:
+            return []
+        return list(self.derived_map().get(cls.ref, ()))
 
     def getInclusionTree(self):
         from repro.ductape.inclusion import InclusionTree
@@ -209,65 +256,101 @@ class PDB:
         entity already has a *different* definition here bumps
         ``odr_conflicts``; pass ``odr_log`` (a list) to also collect one
         detail dict per conflict (``pdbmerge --check`` prints these).
+
+        A single merge indexes this whole database first; to fold many
+        inputs, keep one :class:`MergeIndex` across them instead
+        (:func:`repro.tools.pdbmerge.merge_pdbs`).
         """
-        stats = MergeStats(items_in=len(other.doc.items))
-        self_index = self.doc.index()
-        other_index = other.doc.index()
-        self_keys: dict[tuple, RawItem] = {}
-        self_odr: dict[tuple, RawItem] = {}
-        for raw in self.doc.items:
-            self_keys[_item_key(self_index, raw)] = raw
-            okey = _odr_key(self_index, raw)
+        stats = MergeIndex(self.doc).fold(other.doc, odr_log)
+        self._reindex()
+        return stats
+
+
+class MergeIndex:
+    """The accumulator side of a merge, kept across folds.
+
+    Holds item key -> merged item, ODR key -> first definition, the
+    per-prefix id counters and the accumulator's ref index.  It is built
+    once from the accumulator and extended with every item a fold adds,
+    so folding N documents costs time linear in their total size rather
+    than re-keying the whole accumulator per fold.  An incoming item's
+    keys are computed once, against the document it came from.
+
+    :meth:`fold` only appends to the accumulator document; a :class:`PDB`
+    already wrapping it must be re-indexed after the last fold.
+    """
+
+    def __init__(self, doc: PdbDocument):
+        self.doc = doc
+        self.index = index = doc.index()
+        self.keys: dict[tuple, RawItem] = {}
+        self.odr: dict[tuple, RawItem] = {}
+        self.counters: dict[str, int] = {}
+        for raw in doc.items:
+            self.keys[_item_key(index, raw)] = raw
+            okey = _odr_key(index, raw)
             if okey is not None:
-                self_odr.setdefault(okey, raw)
+                self.odr.setdefault(okey, raw)
+            self.counters[raw.prefix] = max(self.counters.get(raw.prefix, 0), raw.id)
+
+    def fold(self, other: PdbDocument, odr_log: Optional[list] = None) -> MergeStats:
+        """Append ``other``'s items that are not here yet (with fresh
+        ids and remapped refs); ``other`` itself is never modified."""
+        stats = MergeStats(items_in=len(other.items))
+        other_index = other.index()
+        keys, odr, counters = self.keys, self.odr, self.counters
         remap: dict[str, str] = {}
-        counters: dict[str, int] = {}
-        for raw in self.doc.items:
-            counters[raw.prefix] = max(counters.get(raw.prefix, 0), raw.id)
         pending: list[RawItem] = []
-        for raw in other.doc.items:
+        #: ODR keys first defined by this fold: their entry in ``odr`` is
+        #: a clone whose refs still speak ``other``'s ids until the remap
+        fresh_odr: set = set()
+        for raw in other.items:
             key = _item_key(other_index, raw)
-            existing = self_keys.get(key)
+            existing = keys.get(key)
             if existing is not None:
                 remap[str(raw.ref)] = str(existing.ref)
                 stats.duplicates_eliminated += 1
-                if raw.prefix in ("cl", "ro") and raw.get("ctempl" if raw.prefix == "cl" else "rtempl"):
+                if raw.prefix in ("cl", "ro") and raw.get(
+                    "ctempl" if raw.prefix == "cl" else "rtempl"
+                ):
                     stats.duplicate_instantiations += 1
                 continue
-            okey = _odr_key(other_index, raw)
-            if okey is not None:
-                prior = self_odr.get(okey)
-                if prior is not None:
-                    stats.odr_conflicts += 1
-                    if odr_log is not None:
-                        odr_log.append(
-                            {
-                                "kind": "routine" if raw.prefix == "ro" else "class",
-                                "name": okey[1],
-                                "existing": _loc_str(self_index, prior),
-                                "incoming": _loc_str(other_index, raw),
-                            }
-                        )
-                else:
-                    self_odr[okey] = raw
             counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
             clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
             for a in raw.attributes:
                 clone.attributes.append(a.clone())
+            okey = _odr_key(other_index, raw)
+            if okey is not None:
+                prior = odr.get(okey)
+                if prior is None:
+                    odr[okey] = clone
+                    fresh_odr.add(okey)
+                else:
+                    stats.odr_conflicts += 1
+                    if odr_log is not None:
+                        where = other_index if okey in fresh_odr else self.index
+                        odr_log.append(
+                            {
+                                "kind": "routine" if raw.prefix == "ro" else "class",
+                                "name": okey[1],
+                                "existing": _loc_str(where, prior),
+                                "incoming": _loc_str(other_index, raw),
+                            }
+                        )
             remap[str(raw.ref)] = str(clone.ref)
             pending.append(clone)
-            self_keys[key] = clone
+            keys[key] = clone
             stats.items_added += 1
         # remap keys are exactly the ``prefix#id`` spellings of incoming
-        # refs, so a plain dict probe replaces the old per-word
-        # ref-shaped regex test: any word that could hit a key *is* a
-        # ref spelling, and every other word misses and passes through
+        # refs: any word that could hit a key *is* a ref spelling, and
+        # every other word misses and passes through
         remap_get = remap.get
+        items, index = self.doc.items, self.index
         for clone in pending:
             for a in clone.attributes:
                 a.words = [remap_get(w, w) for w in a.words]
-            self.doc.items.append(clone)
-        self._reindex()
+            items.append(clone)
+            index[clone.ref] = clone
         return stats
 
 

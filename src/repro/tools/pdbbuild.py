@@ -85,7 +85,7 @@ from repro.pdbfmt.writer import write_pdb
 CACHE_FORMAT = "pdbbuild-cache/2"
 
 #: schema tag emitted in --stats-json reports
-STATS_SCHEMA = "pdbbuild-stats/5"
+STATS_SCHEMA = "pdbbuild-stats/6"
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,6 @@ class BuildStats:
     failures: list[TUFailure] = field(default_factory=list)
     merge: MergeStats = field(default_factory=MergeStats)
     merge_wall_s: float = 0.0
-    #: reduction rounds of the pairwise tree merge (0 = fold shape)
-    merge_tree_depth: int = 0
     #: frontend header-cache activity summed over every compiled TU
     #: (cache-hit TUs never run the frontend, so they contribute zero)
     hc_hits: int = 0
@@ -214,14 +212,17 @@ class BuildStats:
     check: Optional[dict] = None
     #: the full CheckReport behind ``check`` (never serialised)
     check_report: Optional[object] = None
+    #: the output PDB's text when a single-TU build skipped the merge
+    #: and its render (never serialised)
+    output_text: Optional[str] = None
     trace_spans: list = field(default_factory=list)
     trace_counters: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The --stats-json document (schema: ``pdbbuild-stats/5``).
+        """The --stats-json document (schema: ``pdbbuild-stats/6``).
 
-        ``/5`` keeps every ``/4`` field and adds the ``header_cache``
-        section plus ``merge.tree_depth`` (see docs/FORMAT.md)."""
+        ``/6`` is ``/5`` without ``merge.tree_depth``: the merge is one
+        linear fold again (see docs/FORMAT.md)."""
         d = {
             "schema": STATS_SCHEMA,
             "jobs": self.jobs,
@@ -241,7 +242,6 @@ class BuildStats:
             "failures": [asdict(f) for f in self.failures],
             "merge": {
                 "wall_s": self.merge_wall_s,
-                "tree_depth": self.merge_tree_depth,
                 **asdict(self.merge),
             },
             "output_items": self.output_items,
@@ -684,15 +684,19 @@ def _build(
         stats.cache_evictions = cache.stats.evictions
 
     tm = time.perf_counter()
-    from repro.tools.pdbmerge import merge_pdb_texts_tree
+    from repro.tools.pdbmerge import merge_pdbs
 
     with obs.observe("pdb.merge", cat="pdbbuild", tus=len(sources) - len(failures)):
         texts = [
             outputs[i].pdb_text for i in range(len(sources)) if i not in failures
         ]
-        # pairwise reduction tree; byte-identical to the serial fold,
-        # with the fold's aggregate MergeStats recovered analytically
-        merged, stats.merge, stats.merge_tree_depth = merge_pdb_texts_tree(texts)
+        if len(texts) == 1:
+            # nothing to merge: the TU's own text is the output, as is
+            merged = PDB.from_text(texts[0])
+            stats.output_text = texts[0]
+        else:
+            merged, per_fold = merge_pdbs([PDB.from_text(t) for t in texts])
+            stats.merge = sum(per_fold, MergeStats())
     stats.merge_wall_s = time.perf_counter() - tm
     stats.output_items = len(merged.doc.items)
 
@@ -882,7 +886,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"pdbbuild: error: {exc}", file=sys.stderr)
         return 1
     out = args.output or (args.source[0].rsplit(".", 1)[0] + ".pdb")
-    merged.write(out)
+    with open(out, "w") as f:
+        f.write(stats.output_text if stats.output_text is not None else merged.to_text())
     if args.stats_json:
         with open(args.stats_json, "w") as f:
             json.dump(stats.to_dict(), f, indent=1)

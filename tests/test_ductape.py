@@ -343,6 +343,18 @@ def _chain_include_pdb(n: int) -> str:
     return "\n".join(parts)
 
 
+def _chain_class_pdb(n: int) -> str:
+    """A single-inheritance chain C0 <- C1 <- ... <- C{n-1}."""
+    parts = ["<PDB 3.0>", "", "so#1 t.h", ""]
+    for i in range(n):
+        parts.append(f"cl#{i + 1} C{i}")
+        parts.append(f"cloc so#1 {i + 1} 1")
+        if i:
+            parts.append(f"cbase pub no cl#{i} so#1 {i + 1} 1")
+        parts.append("")
+    return "\n".join(parts)
+
+
 def _diamond_ladder_pdb(levels: int) -> str:
     """A stack of inheritance diamonds: B0 <- {M1_i, M2_i} <- B_i.
 
@@ -422,8 +434,9 @@ class TestPureCycleCallGraph:
 
 
 class TestIterativeWalks:
-    """CallTree.walk / InclusionTree.walk must survive chains far deeper
-    than the Python recursion limit (they are explicit-stack walks)."""
+    """CallTree.walk / InclusionTree.walk / ClassHierarchy.walk must
+    survive chains far deeper than the Python recursion limit (they are
+    explicit-stack walks)."""
 
     def test_deep_call_chain(self):
         import sys
@@ -450,6 +463,38 @@ class TestIterativeWalks:
         assert len(rows) == n
         assert rows[-1][0].name() == f"h{n - 1}.h"
         assert rows[-1][1] == n - 1
+
+    def test_deep_class_chain(self):
+        import sys
+
+        n = sys.getrecursionlimit() + 500
+        pdb = PDB.from_text(_chain_class_pdb(n))
+        h = pdb.getClassHierarchy()
+        (root,) = h.roots
+        rows = list(h.walk(root))
+        assert len(rows) == n
+        assert rows[-1][0].name() == f"C{n - 1}"
+        assert rows[-1][1] == n - 1
+        assert h.render().splitlines()[-1].endswith(f"`--> C{n - 1}")
+
+    def test_class_walk_order_matches_recursive_definition(self):
+        """Yield order and ``seen`` semantics of the recursive walk: a
+        class reached again is yielded, but expanded only once."""
+        pdb = PDB.from_text(_diamond_ladder_pdb(4))
+        h = pdb.getClassHierarchy()
+
+        def rec(c, depth, seen):
+            yield c, depth
+            if c.ref in seen:
+                return
+            seen.add(c.ref)
+            for d in h.derived(c):
+                yield from rec(d, depth + 1, seen)
+
+        (root,) = h.roots
+        got = [(c.name(), d) for c, d in h.walk(root)]
+        assert got == [(c.name(), d) for c, d in rec(root, 0, set())]
+        assert len(got) > len(h.classes)  # diamonds revisit shared classes
 
     def test_call_walk_flags_reset_when_abandoned(self):
         """Abandoning the generator mid-walk must not leave ACTIVE flags

@@ -1,14 +1,82 @@
-"""Tree-merge equivalence: the pairwise reduction must reproduce the
-serial left fold byte for byte (items, ids, ferr records) and recover
-the fold's aggregate MergeStats analytically."""
-
-from concurrent.futures import ProcessPoolExecutor
+"""Fold equivalence: ``merge_pdbs`` keeps one merge index across the
+whole fold, and must reproduce a left fold of pairwise ``PDB.merge``
+calls — each of which indexes the entire accumulator from scratch —
+byte for byte, with the same per-fold MergeStats and ODR log, and
+without touching its inputs."""
 
 import pytest
 
+from repro.analyzer import analyze
+from repro.cpp.instantiate import InstantiationMode
 from repro.ductape.pdb import PDB
 from repro.pdbfmt.items import PdbDocument, RawItem
-from repro.tools.pdbmerge import merge_pdb_texts_tree, merge_pdbs, merge_pdbs_tree
+from repro.pdbfmt.writer import write_pdb
+from repro.tools.pdbbuild import BuildOptions, build
+from repro.tools.pdbmerge import merge_pdbs
+from repro.workloads.defects import DEFECT_SOURCES, defect_files
+from repro.workloads.pooma import pooma_frontend
+from repro.workloads.stack import stack_frontend
+from repro.workloads.synth import SynthSpec, generate
+
+MODES = (InstantiationMode.USED, InstantiationMode.ALL, InstantiationMode.PRELINK)
+
+
+def _pairwise_fold(pdbs, odr_log=None):
+    """The reference: a fresh copy of the first input, then one
+    ``PDB.merge`` per further input."""
+    if not pdbs:
+        return PDB(), []
+    acc = PDB.from_text(pdbs[0].to_text())
+    return acc, [acc.merge(p, odr_log=odr_log) for p in pdbs[1:]]
+
+
+@pytest.fixture(scope="module")
+def workload_texts() -> dict[str, list[str]]:
+    """Per-TU PDB texts of each workload (compiled once per module)."""
+    synth = generate(SynthSpec(n_translation_units=4, n_templates=3))
+    out = {
+        # one program under each instantiation mode: mostly shared items,
+        # with mode-specific instantiations on top
+        "stack": [
+            write_pdb(analyze(stack_frontend(m).compile("TestStackAr.cpp")))
+            for m in MODES
+        ],
+        "pooma": [
+            write_pdb(analyze(pooma_frontend(m).compile("KrylovApp.cpp")))
+            for m in MODES
+        ],
+        "synth": [
+            build([tu], files=synth.files)[0].to_text() for tu in synth.main_files
+        ],
+        # two TUs defining Config and helper differently: ODR conflicts
+        "defects": [
+            build([tu], BuildOptions(), files=defect_files())[0].to_text()
+            for tu in DEFECT_SOURCES
+        ],
+    }
+    # every workload in turn: first definitions arrive in later folds
+    out["mixed"] = [t for group in zip(*out.values()) for t in group]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 16, 64])
+@pytest.mark.parametrize("workload", ["stack", "pooma", "synth", "defects", "mixed"])
+def test_fold_matches_pairwise_merges(workload_texts, workload, n):
+    texts = workload_texts[workload]
+    inputs = [PDB.from_text(texts[i % len(texts)]) for i in range(n)]
+    before = [p.to_text() for p in inputs]
+    log: list = []
+    merged, stats = merge_pdbs(inputs, odr_log=log)
+    ref_log: list = []
+    ref, ref_stats = _pairwise_fold(inputs, odr_log=ref_log)
+    assert merged.to_text() == ref.to_text()
+    assert stats == ref_stats
+    assert log == ref_log
+    assert [p.to_text() for p in inputs] == before
+    if n:
+        assert merged.doc is not inputs[0].doc  # a private copy, even at N=1
+    if workload == "defects" and n >= 2:
+        assert sum(s.odr_conflicts for s in stats) == 2  # helper + Config
 
 
 def _tu_pdb(tu: int, shared: int = 5, unique: int = 8) -> PDB:
@@ -40,109 +108,75 @@ def _tu_pdb(tu: int, shared: int = 5, unique: int = 8) -> PDB:
     return PDB(doc)
 
 
-def _corpus(n: int) -> list[PDB]:
-    return [_tu_pdb(i) for i in range(n)]
-
-
-def _serial_aggregate(pdbs):
-    merged, per_fold = merge_pdbs(pdbs)
-    agg = {
-        "items_in": sum(s.items_in for s in per_fold),
-        "items_added": sum(s.items_added for s in per_fold),
-        "duplicates_eliminated": sum(s.duplicates_eliminated for s in per_fold),
-        "duplicate_instantiations": sum(s.duplicate_instantiations for s in per_fold),
-        "odr_conflicts": sum(s.odr_conflicts for s in per_fold),
-    }
-    return merged, agg
-
-
 @pytest.mark.parametrize("n", [2, 4, 16])
-@pytest.mark.parametrize("min_fanin", [2, 8])
-def test_tree_merge_byte_identical_to_fold(n, min_fanin):
-    serial, agg = _serial_aggregate(_corpus(n))
-    tree, stats, depth = merge_pdbs_tree(_corpus(n), min_fanin=min_fanin)
-    assert tree.to_text() == serial.to_text()
-    assert {
-        "items_in": stats.items_in,
-        "items_added": stats.items_added,
-        "duplicates_eliminated": stats.duplicates_eliminated,
-        "duplicate_instantiations": stats.duplicate_instantiations,
-        "odr_conflicts": stats.odr_conflicts,
-    } == agg
-    if min_fanin == 2 and n > 1:
+@pytest.mark.parametrize("fanin", [2, 8])
+def test_tree_merge_byte_identical_to_fold(n, fanin):
+    """Merging is associative: reducing contiguous groups of ``fanin``
+    inputs with ``merge_pdbs`` and then merging the partial results
+    (as ``pdbmerge`` does when given already-merged files) gives the
+    same bytes as the one fold over all inputs."""
+    inputs = [_tu_pdb(i) for i in range(n)]
+    before = [p.to_text() for p in inputs]
+    serial, per_fold = merge_pdbs(inputs)
+    assert per_fold == _pairwise_fold(inputs)[1]
+    level, depth = inputs, 0
+    while len(level) > 1:
+        level = [merge_pdbs(level[i : i + fanin])[0] for i in range(0, len(level), fanin)]
+        depth += 1
+    assert level[0].to_text() == serial.to_text()
+    assert [p.to_text() for p in inputs] == before
+    if fanin == 2:
         assert depth == (n - 1).bit_length()  # genuinely pairwise
 
 
-def test_tree_merge_empty_and_single():
-    merged, stats, depth = merge_pdbs_tree([])
-    assert merged.to_text() == PDB(PdbDocument()).to_text()
-    assert depth == 0
-    one = _tu_pdb(0)
-    merged, stats, depth = merge_pdbs_tree([one])
-    assert merged.to_text() == one.to_text()
-    assert merged.doc is not one.doc  # still a private copy
-    assert depth == 0
-
-
-def test_tree_merge_does_not_mutate_inputs():
-    inputs = _corpus(6)
-    before = [p.to_text() for p in inputs]
-    merge_pdbs_tree(inputs, min_fanin=2)
-    assert [p.to_text() for p in inputs] == before
-
-
-def test_tree_merge_odr_conflicts_match_fold():
-    """Conflicting class definitions across TUs: the analytic aggregate
-    must equal the fold's summed odr_conflicts."""
-
-    def tu(i, line):
-        doc = PdbDocument()
-        so = RawItem("so", 1, f"t{i}.cpp")
-        so.add("skind", "source")
-        doc.add(so)
-        cl = RawItem("cl", 0, "Widget")
+def _tu(i: int, defs=(), ferr: bool = False) -> PDB:
+    """One hand-written per-TU document: a source file at ``so#10(i+1)``
+    (an id no other TU's file gets in the accumulator), one located
+    ``Widget`` class per line in ``defs``, optionally a ``ferr`` record."""
+    doc = PdbDocument()
+    so = RawItem("so", 10 * (i + 1), f"t{i}.cpp")
+    so.add("skind", "source")
+    doc.add(so)
+    for cid, line in enumerate(defs):
+        cl = RawItem("cl", cid, "Widget")
         cl.add("ckind", "class")
-        cl.add("cloc", "so#1", line, 1)
+        cl.add("cloc", so.ref, line, 1)
         doc.add(cl)
-        return PDB(doc)
-
-    pdbs = [tu(i, line) for i, line in enumerate([10, 20, 30, 40])]
-    serial, agg = _serial_aggregate(pdbs)
-    assert agg["odr_conflicts"] > 0
-    tree, stats, _ = merge_pdbs_tree(pdbs, min_fanin=2)
-    assert tree.to_text() == serial.to_text()
-    assert stats.odr_conflicts == agg["odr_conflicts"]
-
-
-def test_tree_merge_preserves_ferr_items():
-    def tu(i):
-        doc = PdbDocument()
-        so = RawItem("so", 1, f"t{i}.cpp")
-        so.add("skind", "source")
-        doc.add(so)
+    if ferr:
         fe = RawItem("ferr", 0, f"t{i}.cpp:1: broken")
         fe.add_text("emsg", f"broken in t{i}")
         doc.add(fe)
-        return PDB(doc)
-
-    pdbs = [tu(i) for i in range(4)]
-    serial, _ = _serial_aggregate(pdbs)
-    tree, _, _ = merge_pdbs_tree(pdbs, min_fanin=2)
-    assert tree.to_text() == serial.to_text()
-    assert len(tree.doc.by_prefix("ferr")) == 4
+    return PDB(doc)
 
 
-def test_text_tree_matches_fold():
-    texts = [p.to_text() for p in _corpus(9)]
-    serial, _ = _serial_aggregate([PDB.from_text(t) for t in texts])
-    merged, stats, depth = merge_pdb_texts_tree(texts, min_fanin=2)
-    assert merged.to_text() == serial.to_text()
+def test_odr_prior_from_an_earlier_fold_names_its_own_file():
+    """The first definition arrives in fold 1, the conflict in fold 2:
+    the index must hold the merged clone, whose refs resolve in the
+    accumulator — not the incoming item, whose ``so#20`` does not
+    resolve there."""
+    pdbs = [_tu(0), _tu(1, defs=[20]), _tu(2, defs=[30])]
+    log: list = []
+    _, stats = merge_pdbs(pdbs, odr_log=log)
+    assert [s.odr_conflicts for s in stats] == [0, 1]
+    assert log == [
+        {"kind": "class", "name": "Widget", "existing": "t1.cpp:20", "incoming": "t2.cpp:30"}
+    ]
+    ref_log: list = []
+    _pairwise_fold(pdbs, odr_log=ref_log)
+    assert ref_log == log
 
 
-def test_text_tree_pooled_matches_fold():
-    texts = [p.to_text() for p in _corpus(8)]
-    serial, _ = _serial_aggregate([PDB.from_text(t) for t in texts])
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        merged, stats, depth = merge_pdb_texts_tree(texts, pool=pool, min_fanin=2)
-    assert merged.to_text() == serial.to_text()
-    assert depth == 3
+def test_odr_conflict_within_one_input_names_its_own_file():
+    log: list = []
+    merge_pdbs([_tu(0), _tu(1, defs=[10, 20])], odr_log=log)
+    assert log == [
+        {"kind": "class", "name": "Widget", "existing": "t1.cpp:10", "incoming": "t1.cpp:20"}
+    ]
+
+
+def test_fold_preserves_ferr_items():
+    pdbs = [_tu(i, ferr=True) for i in range(4)]
+    merged, _ = merge_pdbs(pdbs)
+    assert merged.to_text() == _pairwise_fold(pdbs)[0].to_text()
+    assert len(merged.doc.by_prefix("ferr")) == 4
+

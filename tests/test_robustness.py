@@ -333,6 +333,32 @@ class TestCacheSelfHealing:
         _, stats = build(mains, BuildOptions(), cache_dir=str(cache))
         assert stats.cache_hits == 1 and stats.cache_evictions == 0
 
+    @staticmethod
+    def _edit(main: str) -> None:
+        with open(main, "a") as f:
+            f.write("\nint edited_fn( int v ) { return v + 1; }\n")
+
+    def test_edited_tu_is_a_plain_miss_not_an_eviction(self, tmp_path):
+        mains, cache, _ = self._seed(tmp_path)
+        self._edit(mains[0])
+        merged, stats = build(mains, BuildOptions(), cache_dir=str(cache))
+        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+        assert stats.cache_evictions == 0
+        cold, _ = build(mains, BuildOptions())
+        assert merged.to_text() == cold.to_text()
+
+    def test_legacy_manifest_without_object_key_still_evicts(self, tmp_path):
+        # manifests written before the recorded object key existed keep
+        # treating any missing object as damage
+        mains, cache, _ = self._seed(tmp_path, n=1)
+        for p in (cache / "manifests").glob("*.json"):
+            manifest = json.loads(p.read_text())
+            manifest.pop("object")
+            p.write_text(json.dumps(manifest))
+        self._edit(mains[0])
+        _, stats = build(mains, BuildOptions(), cache_dir=str(cache))
+        assert stats.cache_misses == 1 and stats.cache_evictions == 1
+
 
 # -- fault hooks are inert by default -----------------------------------
 
