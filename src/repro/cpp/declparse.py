@@ -1081,7 +1081,7 @@ class Parser(StmtParserMixin):
             elif self.at("template"):
                 # template template parameter: template<class> class C
                 self.advance()
-                self.skip_angle()
+                self.skip_balanced("<")
                 self.accept("class") or self.accept("typename")
                 name = self.expect_ident().text if self.at_plain_ident() else f"<TT{len(params)}>"
                 params.append(TemplateParameter("template", name))
@@ -1187,11 +1187,11 @@ class Parser(StmtParserMixin):
         if self.at_plain_ident():
             self.advance()
         if self.at("<"):
-            self.skip_angle()
+            self.skip_balanced("<")
         if self.at(":"):
             while not self.at("{") and not self.at_eof:
                 if self.at("<"):
-                    self.skip_angle()
+                    self.skip_balanced("<")
                 else:
                     self.advance()
         if self.at("{"):

@@ -76,18 +76,11 @@ class ExprInfo:
 
 #: binary operators by precedence level, loosest first.
 _BINARY_LEVELS: list[list[str]] = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", ">", "<=", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-    [".*", "->*"],
+    ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="], ["<", ">", "<=", ">="],
+    ["<<", ">>"], ["+", "-"], ["*", "/", "%"], [".*", "->*"],
 ]
+#: binary operator -> its index in ``_BINARY_LEVELS`` (higher binds tighter)
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="])
 
@@ -131,7 +124,7 @@ class ExprParserMixin(TypeParserMixin):
         return ExprInfo(self.types.void)
 
     def _parse_ternary(self) -> ExprInfo:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self.at("?"):
             self.advance()
             then = self.parse_comma_expression()
@@ -142,21 +135,26 @@ class ExprParserMixin(TypeParserMixin):
 
     # -- binary operators ----------------------------------------------------------
 
-    def _parse_binary(self, level: int) -> ExprInfo:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        lhs = self._parse_binary(level + 1)
-        while self.cur.kind is TokenKind.PUNCT and self.cur.text in ops:
+    def _parse_binary(self) -> ExprInfo:
+        """Precedence climbing without recursion: a pending operator is
+        applied once the next operator binds no tighter, so operator
+        calls are recorded in the order a left-associative descent
+        records them (operands first, right operand included)."""
+        operands, pending = [self._parse_unary()], []
+        while True:
             # ">" can end a template argument list; the template-arg parser
             # never descends here, so a ">" in expression context is an op.
-            op = self.advance()
-            rhs = self._parse_binary(level + 1)
-            result = self._maybe_operator_call(op.text, lhs, [rhs], op.location)
-            lhs = result if result is not None else ExprInfo(
-                self._builtin_binary_type(op.text, lhs, rhs)
-            )
-        return lhs
+            tok = self.tokens[self.pos]
+            level = _BINARY_LEVEL.get(tok.text, -1) if tok.kind is TokenKind.PUNCT else -1
+            while pending and pending[-1][0] >= level:
+                op = pending.pop()[1]
+                rhs, lhs = operands.pop(), operands.pop()
+                result = self._maybe_operator_call(op.text, lhs, [rhs], op.location)
+                operands.append(result or ExprInfo(self._builtin_binary_type(op.text, lhs, rhs)))
+            if level < 0:
+                return operands[0]
+            pending.append((level, self.advance()))
+            operands.append(self._parse_unary())
 
     def _builtin_binary_type(self, op: str, lhs: ExprInfo, rhs: ExprInfo) -> Type:
         if op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
@@ -210,30 +208,31 @@ class ExprParserMixin(TypeParserMixin):
 
     def _parse_unary(self) -> ExprInfo:
         t = self.cur
-        if t.is_punct("!"):
+        op = t.text if t.kind is TokenKind.PUNCT else None
+        if op == "!":
             self.advance()
             self._parse_unary()
             return ExprInfo(self.types.bool_)
-        if t.is_punct("-") or t.is_punct("+") or t.is_punct("~"):
+        if op == "-" or op == "+" or op == "~":
             self.advance()
             e = self._parse_unary()
             return ExprInfo(e.type)
-        if t.is_punct("++") or t.is_punct("--"):
-            op = self.advance()
+        if op == "++" or op == "--":
+            self.advance()
             e = self._parse_unary()
-            self._maybe_operator_call(op.text, e, [], op.location)
+            self._maybe_operator_call(op, e, [], t.location)
             return ExprInfo(e.type)
-        if t.is_punct("*"):
-            op = self.advance()
+        if op == "*":
+            self.advance()
             e = self._parse_unary()
             s = e.type.strip()
             if isinstance(s, PointerType):
                 return ExprInfo(s.pointee)
             if isinstance(s, ArrayType):
                 return ExprInfo(s.element)
-            r = self._maybe_operator_call("*", e, [], op.location)
+            r = self._maybe_operator_call("*", e, [], t.location)
             return r if r is not None else self._unknown("deref")
-        if t.is_punct("&"):
+        if op == "&":
             self.advance()
             e = self._parse_unary()
             return ExprInfo(self.types.pointer_to(e.type))
@@ -317,18 +316,19 @@ class ExprParserMixin(TypeParserMixin):
     def _parse_postfix(self) -> ExprInfo:
         e = self._parse_primary()
         while True:
-            if self.at("("):
-                loc = self.loc()
+            t = self.tokens[self.pos]
+            op = t.text if t.kind is TokenKind.PUNCT else None
+            if op == "(":
                 args = self._parse_call_args()
-                e = self._resolve_call(e, args, loc)
-            elif self.at(".") or self.at("->"):
-                arrow = self.advance()
-                e = self._parse_member_access(e, indirection=arrow.text == "->")
-            elif self.at("["):
-                open_tok = self.advance()
+                e = self._resolve_call(e, args, t.location)
+            elif op == "." or op == "->":
+                self.advance()
+                e = self._parse_member_access(e, indirection=op == "->")
+            elif op == "[":
+                self.advance()
                 idx = self.parse_comma_expression()
                 self.expect("]")
-                r = self._maybe_operator_call("[]", e, [idx], open_tok.location)
+                r = self._maybe_operator_call("[]", e, [idx], t.location)
                 if r is not None:
                     e = r
                 else:
@@ -339,9 +339,9 @@ class ExprParserMixin(TypeParserMixin):
                         e = ExprInfo(s.pointee)
                     else:
                         e = self._unknown("subscript")
-            elif self.at("++") or self.at("--"):
-                op = self.advance()
-                self._maybe_operator_call(op.text, e, [], op.location)
+            elif op == "++" or op == "--":
+                self.advance()
+                self._maybe_operator_call(op, e, [], t.location)
                 e = ExprInfo(e.type)
             else:
                 return e

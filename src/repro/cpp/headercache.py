@@ -232,6 +232,17 @@ class HeaderCache:
 
     def _replay(self, pp, e: _Entry) -> list:
         self.hits += 1
+        recs = self._recs
+        # the replayed subtree's dependencies are the outer recordings'
+        # dependencies too (signatures just validated, so propagating the
+        # stored ones is exact) — before the macro events below mark the
+        # subtree's own #defines as written, which would drop reads made
+        # ahead of them, such as an include guard's ``#ifndef``
+        for name, sig in e.reads.items():
+            for rec in recs:
+                if name in rec.written or name in rec.reads:
+                    continue
+                rec.reads[name] = sig
         macros = pp.macros
         # applied through the tracking table, so any *outer* recording
         # in progress captures the same events it would have seen live
@@ -245,20 +256,11 @@ class HeaderCache:
         for f in e.consumed:
             if f not in consumed:
                 consumed.append(f)
-        recs = self._recs
         for a, b in e.edges:
             a.add_include(b)
             for rec in recs:
                 rec.edges.append((a, b))
         if recs:
-            # the replayed subtree's dependencies are the outer
-            # recordings' dependencies too (signatures just validated,
-            # so propagating the stored ones is exact)
-            for name, sig in e.reads.items():
-                for rec in recs:
-                    if name in rec.written or name in rec.reads:
-                        continue
-                    rec.reads[name] = sig
             depth = len(pp._include_stack)
             for rec in recs:
                 rec.stack_checked |= e.stack_checked

@@ -1,204 +1,134 @@
 """C++ lexer with exact source-position tracking.
 
-Produces the raw token stream the preprocessor consumes.  Comments are
-skipped (they only affect ``leading_space``); line continuations
-(backslash-newline) are honoured, including inside ``#define`` bodies.
+Produces the raw token stream the preprocessor consumes.  One compiled
+regex drives the scan: each match is a run of whitespace, a
+backslash-newline splice, a newline, a ``//`` or ``/*`` comment, an
+identifier, a number, an opening quote or a punctuator (maximal munch,
+longest first).  Comments are skipped (they only affect
+``leading_space``); line continuations are honoured, including inside
+``#define`` bodies.  Lines and columns come from a running line number
+and the offset of the last newline, so only matches that can span lines
+(splices, block comments, literals) count newlines.  There are no raw
+strings: ``R"(...)"`` lexes as an identifier followed by a string.
 
-When constructed with a non-fatal :class:`DiagnosticSink`, lexical
-errors are reported as soft errors and the lexer recovers instead of
-raising: an unterminated block comment swallows the rest of the file, an
-unterminated literal ends at the line break, and an unexpected character
-is skipped.  Truncated or corrupted sources then still yield a usable
-token stream for the rest of the translation unit.
+When called with a non-fatal :class:`DiagnosticSink`, lexical errors
+are reported as soft errors and the lexer recovers instead of raising:
+an unterminated block comment swallows the rest of the file, an
+unterminated literal ends at the line break (or EOF) and gets its
+closing quote appended, and an unexpected character is skipped.
+Truncated or corrupted sources then still yield a usable token stream
+for the rest of the translation unit.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.cpp.diagnostics import CppError, DiagnosticSink
 from repro.cpp.source import SourceFile, SourceLocation
 from repro.cpp.tokens import PUNCTUATORS, Token, TokenKind
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-
-
-class Lexer:
-    """Lexes one :class:`SourceFile` into a token list."""
-
-    def __init__(self, file: SourceFile, sink: Optional[DiagnosticSink] = None):
-        self.file = file
-        self.text = file.text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.at_line_start = True
-        self.leading_space = False
-        self.sink = sink
-        #: recover from lexical errors instead of raising
-        self.recover = sink is not None and not sink.fatal_errors
-
-    def _lex_error(self, message: str, loc: SourceLocation) -> None:
-        """Report a lexical error; raises unless in recovery mode."""
-        if self.recover and self.sink is not None:
-            self.sink.soft_error(message, loc)
-        else:
-            raise CppError(message, loc)
-
-    # -- character helpers --------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.file, self.line, self.col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        # NUL sentinel at EOF: unlike "", it is never `in` a charset string
-        return self.text[i] if i < len(self.text) else "\0"
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.text):
-                return
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments, and line continuations."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                self.leading_space = True
-            elif ch == "\n":
-                self._advance()
-                self.at_line_start = True
-                self.leading_space = False
-            elif ch in " \t\r\f\v":
-                self._advance()
-                self.leading_space = True
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                self.leading_space = True
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    # recovery: the truncated comment swallows the rest
-                    self._lex_error("unterminated block comment", start)
-                self.leading_space = True
-            else:
-                return
-
-    # -- token scanners ------------------------------------------------
-
-    def _scan_ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() in _IDENT_CONT:
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _scan_number(self) -> str:
-        start = self.pos
-        # Hex
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek() in _DIGITS:
-                self._advance()
-            if self._peek() == "." and self._peek(1) in _DIGITS:
-                self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-            elif self._peek() == ".":
-                self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1) in _DIGITS
-                or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-            ):
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-        # Suffixes (u, l, f combinations)
-        while self._peek() in "uUlLfF":
-            self._advance()
-        return self.text[start : self.pos]
-
-    def _scan_quoted(self, quote: str) -> str:
-        start = self.pos
-        start_loc = self._loc()
-        self._advance()  # opening quote
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-            elif ch == quote:
-                self._advance()
-                return self.text[start : self.pos]
-            elif ch == "\n":
-                break
-            else:
-                self._advance()
-        kind = "string" if quote == '"' else "character"
-        # recovery: the literal ends at the line break (or EOF)
-        self._lex_error(f"unterminated {kind} literal", start_loc)
-        return self.text[start : self.pos] + quote
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._loc()
-        at_start, space = self.at_line_start, self.leading_space
-        self.at_line_start = False
-        self.leading_space = False
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", loc, at_start, space)
-        ch = self._peek()
-        if ch in _IDENT_START:
-            return Token(TokenKind.IDENT, self._scan_ident(), loc, at_start, space)
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return Token(TokenKind.NUMBER, self._scan_number(), loc, at_start, space)
-        if ch == '"':
-            return Token(TokenKind.STRING, self._scan_quoted('"'), loc, at_start, space)
-        if ch == "'":
-            return Token(TokenKind.CHAR, self._scan_quoted("'"), loc, at_start, space)
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc, at_start, space)
-        # recovery: skip the offending character and lex what follows
-        self._lex_error(f"unexpected character {ch!r}", loc)
-        self._advance()
-        return self.next_token()
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole file, EOF token included."""
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
+#: one alternative per match kind; ``lastindex`` numbers them in order
+_SCAN = re.compile(
+    r"([ \t\r\f\v]+)"  # 1 whitespace
+    r"|(\\\n)"  # 2 line splice
+    r"|(\n)"  # 3 newline
+    r"|(//[^\n]*)"  # 4 line comment
+    r"|(/\*)"  # 5 block comment (closed by str.find)
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # 6 identifier
+    r"|((?:0[xX][0-9a-fA-F]*|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)"  # 7 number
+    r"|([\"'])"  # 8 opening quote
+    r"|(" + "|".join(re.escape(p) for p in PUNCTUATORS) + ")"  # 9 punctuator
+)
+#: literal body after the opening quote; group 1 is the closing quote
+_LITERAL = {
+    q: re.compile(r"(?:[^%s\\\n]|\\.?)*(%s)?" % (q, q), re.DOTALL) for q in "\"'"
+}
+_KIND = {6: TokenKind.IDENT, 7: TokenKind.NUMBER, 9: TokenKind.PUNCT}
 
 
 def tokenize(file: SourceFile, sink: Optional[DiagnosticSink] = None) -> list[Token]:
-    """Convenience wrapper: lex ``file`` into a token list.
+    """Lex ``file`` into a token list, EOF token included.
 
     With a non-fatal ``sink``, lexical errors are recorded there and the
-    lexer recovers (see class docstring) instead of raising."""
-    return Lexer(file, sink).tokenize()
+    lexer recovers (see module docstring) instead of raising."""
+    recover = sink is not None and not sink.fatal_errors
+
+    def error(message: str, loc: SourceLocation) -> None:
+        if recover:
+            sink.soft_error(message, loc)
+        else:
+            raise CppError(message, loc)
+
+    text = file.text
+    n = len(text)
+    scan = _SCAN.match
+    out: list[Token] = []
+    append = out.append
+    pos = 0
+    line = 1
+    line_start = 0  # offset just past the last newline
+    at_start, space = True, False
+    while pos < n:
+        m = scan(text, pos)
+        if m is None:
+            # recovery: skip the offending character and lex what follows
+            error(
+                f"unexpected character {text[pos]!r}",
+                SourceLocation(file, line, pos - line_start + 1),
+            )
+            pos += 1
+            at_start = space = False
+            continue
+        kind = m.lastindex
+        end = m.end()
+        if kind == 1 or kind == 4:
+            space = True
+        elif kind == 3:
+            line += 1
+            line_start = end
+            at_start, space = True, False
+        elif kind == 2:
+            line += 1
+            line_start = end
+            space = True
+        elif kind == 5:
+            close = text.find("*/", end)
+            if close < 0:
+                # recovery: the truncated comment swallows the rest
+                error(
+                    "unterminated block comment",
+                    SourceLocation(file, line, pos - line_start + 1),
+                )
+                end = n
+            else:
+                end = close + 2
+            space = True
+        else:
+            loc = SourceLocation(file, line, pos - line_start + 1)
+            if kind == 8:
+                quote = m.group(8)
+                lit = _LITERAL[quote].match(text, end)
+                end = lit.end()
+                tok_text = text[pos:end]
+                if lit.group(1) is None:
+                    # recovery: the literal ends at the line break (or EOF)
+                    kind_name = "string" if quote == '"' else "character"
+                    error(f"unterminated {kind_name} literal", loc)
+                    tok_text += quote
+                tok_kind = TokenKind.STRING if quote == '"' else TokenKind.CHAR
+                append(Token(tok_kind, tok_text, loc, at_start, space))
+            else:
+                append(Token(_KIND[kind], m.group(kind), loc, at_start, space))
+            at_start = space = False
+        if kind == 5 or kind == 8:  # block comments and literals can span lines
+            breaks = text.count("\n", pos, end)
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    eof_loc = SourceLocation(file, line, n - line_start + 1)
+    append(Token(TokenKind.EOF, "", eof_loc, at_start, space))
+    return out

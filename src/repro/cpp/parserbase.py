@@ -33,6 +33,7 @@ TYPE_KEYWORDS = frozenset(
 DECL_SPECIFIERS = frozenset(
     "static extern inline virtual explicit mutable friend typedef register auto".split()
 )
+_WORDLIKE = (TokenKind.PUNCT, TokenKind.IDENT)  # kinds at/accept match by spelling
 
 
 class ParserBase:
@@ -55,57 +56,57 @@ class ParserBase:
         self.types = tree.types
 
     # -- cursor -----------------------------------------------------------
+    # ``tokens`` ends in EOF and ``advance`` never steps past it, so
+    # ``tokens[pos]`` needs no bounds check.
 
     def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        if i < len(self.tokens):
-            return self.tokens[i]
-        return self.tokens[-1]  # EOF
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]  # EOF-clamped
 
     @property
     def cur(self) -> Token:
-        return self.peek(0)
+        return self.tokens[self.pos]
 
     def loc(self) -> SourceLocation:
-        return self.cur.location
+        return self.tokens[self.pos].location
 
     def advance(self) -> Token:
-        tok = self.cur
-        if self.pos < len(self.tokens) - 1:
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.EOF:
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in (
-            TokenKind.PUNCT,
-            TokenKind.IDENT,
-        )
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind in _WORDLIKE
 
     def at_any(self, *texts: str) -> bool:
-        return any(self.at(t) for t in texts)
+        tok = self.tokens[self.pos]
+        return tok.text in texts and tok.kind in _WORDLIKE
 
     def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in _WORDLIKE:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise CppError(
-                f"expected {text!r}, found {self.cur.text!r}", self.cur.location
-            )
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text or tok.kind not in _WORDLIKE:
+            raise CppError(f"expected {text!r}, found {tok.text!r}", tok.location)
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> Token:
-        if self.cur.kind is not TokenKind.IDENT or self.cur.text in KEYWORDS:
-            raise CppError(
-                f"expected identifier, found {self.cur.text!r}", self.cur.location
-            )
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.IDENT or tok.text in KEYWORDS:
+            raise CppError(f"expected identifier, found {tok.text!r}", tok.location)
+        self.pos += 1
+        return tok
 
     @property
     def at_eof(self) -> bool:
-        return self.cur.kind is TokenKind.EOF
+        return self.tokens[self.pos].kind is TokenKind.EOF
 
     def at_ident(self, text: Optional[str] = None) -> bool:
         return self.cur.kind is TokenKind.IDENT and (text is None or self.cur.text == text)
@@ -124,42 +125,31 @@ class ParserBase:
     # -- bracket skipping -----------------------------------------------------
 
     _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+    #: depth change per punctuator while skipping from each opener
+    _NESTING = {
+        **{o: {o: 1, c: -1} for o, c in _CLOSERS.items()},
+        "<": {"<": 1, ">": -1, ">>": -2},
+    }
 
     def skip_balanced(self, open_text: str) -> int:
         """With cursor on ``open_text``, skip to just past its matching
-        closer; returns index of the closer token."""
-        close = self._CLOSERS[open_text]
+        closer; returns index of the closer token.  With ``<`` it skips
+        template headers and argument lists only (no expression ambiguity
+        there), where ``>>`` closes two levels."""
+        nesting = self._NESTING[open_text]
         start_loc = self.cur.location
         self.expect(open_text)
-        depth = 1
+        tokens, i, depth = self.tokens, self.pos, 1
         while depth > 0:
-            if self.at_eof:
+            t = tokens[i]
+            if t.kind is TokenKind.PUNCT:
+                depth += nesting.get(t.text, 0)
+            elif t.kind is TokenKind.EOF:
+                self.pos = i
                 raise CppError(f"unbalanced {open_text!r}", start_loc)
-            t = self.advance()
-            if t.is_punct(open_text):
-                depth += 1
-            elif t.is_punct(close):
-                depth -= 1
-        return self.pos - 1
-
-    def skip_angle(self) -> int:
-        """With cursor on ``<``, skip past the matching ``>`` (template
-        headers and argument lists only — no expression ambiguity there);
-        returns the index of the closer."""
-        start_loc = self.cur.location
-        self.expect("<")
-        depth = 1
-        while depth > 0:
-            if self.at_eof:
-                raise CppError("unbalanced '<'", start_loc)
-            t = self.advance()
-            if t.is_punct("<"):
-                depth += 1
-            elif t.is_punct(">"):
-                depth -= 1
-            elif t.is_punct(">>"):
-                depth -= 2
-        return self.pos - 1
+            i += 1
+        self.pos = i
+        return i - 1
 
     def skip_to_semicolon(self) -> None:
         """Error recovery: skip to just past the next ``;`` at depth 0."""

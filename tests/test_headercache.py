@@ -4,6 +4,8 @@ while invalidating on exactly the things that matter — macro
 environments the header reads, and content changes anywhere in the
 cached subtree."""
 
+import random
+
 import pytest
 
 from repro.analyzer import analyze
@@ -230,6 +232,70 @@ class TestInvalidation:
         names = [[f.name for f in consumed] for consumed in fe.last_consumed_files_per_tu]
         assert names[0] == ["a.cpp", "outer.h", "inner.h"]
         assert names[1] == ["b.cpp", "outer.h", "inner.h"]
+
+
+
+def _guarded(name: str, body: str) -> str:
+    guard = name.upper().replace(".", "_")
+    return f"#ifndef {guard}\n#define {guard}\n{body}#endif\n"
+
+
+def _per_tu_texts(files, order, cache) -> dict[str, str]:
+    """Each TU's PDB text, compiling ``order`` on one shared Frontend."""
+    fe = _frontend(files, cache=cache)
+    return {main: _pdb_text(fe.compile(main)) for main in order}
+
+
+class TestTuOrderIndependence:
+    """A TU's PDB must not depend on which TUs a shared cache-on
+    Frontend compiled before it."""
+
+    def test_guard_read_survives_replay_into_outer_recording(self):
+        """b.h's recording replays a.h's entry, which defines V_H.  The
+        replay must still hand a.h's ``V_H: undefined`` dependency to
+        b.h's entry first: otherwise t3 later replays that entry over an
+        already included v.h and gets Vec (and its V_H macro) twice."""
+        files = {
+            "v.h": _guarded("v.h", "template <class T> class Vec { public: T x; };\n"),
+            "a.h": _guarded("a.h", '#include "v.h"\nint a_use();\n'),
+            "b.h": _guarded("b.h", '#include "v.h"\n#include "a.h"\nint b_use();\n'),
+            "t1.cpp": '#include "v.h"\nint t1() { return 1; }\n',
+            "t2.cpp": '#include "a.h"\nint t2() { return a_use(); }\n',
+            "t3.cpp": '#include "b.h"\nint t3() { return b_use(); }\n',
+        }
+        order = ["t1.cpp", "t2.cpp", "t3.cpp"]
+        cached = _per_tu_texts(files, order, cache=True)
+        assert cached == _per_tu_texts(files, order, cache=False)
+        assert cached["t3.cpp"].count("te#") == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_tu_text_matches_cache_off_for_any_tu_order(self, seed):
+        """Nested guarded headers, each including a random subset of the
+        earlier ones; TUs include random headers in random order."""
+        rng = random.Random(seed)
+        n_headers = 7
+        files = {}
+        for h in range(n_headers):
+            deps = rng.sample(range(h), rng.randrange(min(h, 3) + 1))
+            body = "".join(f'#include "h{d}.h"\n' for d in deps)
+            body += f"#define H{h}_SIZE {h + 2}\n"
+            body += f"template <class T> class Box{h} {{ public: T get(); }};\n"
+            body += f"int f{h}(int v);\n"
+            files[f"h{h}.h"] = _guarded(f"h{h}.h", body)
+        mains = []
+        for t in range(8):
+            hs = rng.sample(range(n_headers), rng.randrange(1, 4))
+            lines = [f'#include "h{h}.h"\n' for h in hs]
+            lines += [
+                f"int tu{t}_{h}() {{ Box{h}<int> b; return f{h}(H{h}_SIZE) + b.get(); }}\n"
+                for h in hs
+            ]
+            files[f"tu{t}.cpp"] = "".join(lines)
+            mains.append(f"tu{t}.cpp")
+        reference = _per_tu_texts(files, mains, cache=False)
+        for _ in range(5):
+            order = rng.sample(mains, len(mains))
+            assert _per_tu_texts(files, order, cache=True) == reference, order
 
 
 class TestFrontendDriver:

@@ -109,8 +109,8 @@ class TestTrivia:
 
     def test_line_continuation(self):
         toks = lex("ab\\\ncd")
-        # backslash-newline splices: but identifiers are lexed per-char,
-        # so the continuation acts as whitespace between tokens here
+        # a backslash-newline does not splice a token back together: it
+        # acts as whitespace between tokens
         assert texts(toks) == ["ab", "cd"]
 
     def test_leading_space_flag(self):

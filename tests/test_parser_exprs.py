@@ -191,6 +191,58 @@ class TestOperatorCalls:
         assert calls_of(tree, "f") == []
 
 
+def call_sequence(tree, name):
+    """The routine's recorded calls in order: (callee, line, column)."""
+    return [
+        (c.callee.name, c.location.line, c.location.column)
+        for c in calls_of(tree, name)
+    ]
+
+
+class TestOperatorCallOrder:
+    """Operator calls are recorded in evaluation order: both operands
+    first (right operand included), then the operator, left to right
+    within a precedence level.  ``rcall`` rows keep this order."""
+
+    V = (
+        "class V { public: V operator+(const V& o); V operator-(const V& o);"
+        " V operator*(const V& o); V operator->*(int m);"
+        " V operator<(const V& o); V operator==(const V& o); };\n"
+    )
+
+    def test_additive_around_multiplicative(self):
+        tree = compile_source(self.V + "void f() { V a, b, c, d; V r = a + b * c - d; }")
+        assert call_sequence(tree, "f") == [
+            ("operator*", 2, 38), ("operator+", 2, 34), ("operator-", 2, 42),
+        ]
+
+    def test_two_products_summed(self):
+        tree = compile_source(self.V + "void f() { V a, b, c, d; V r = a * b + c * d; }")
+        assert call_sequence(tree, "f") == [
+            ("operator*", 2, 34), ("operator*", 2, 42), ("operator+", 2, 38),
+        ]
+
+    def test_relational_binds_tighter_than_equality(self):
+        tree = compile_source(self.V + "void f() { V a, b, c; V r = a < b == c; }")
+        assert call_sequence(tree, "f") == [("operator<", 2, 31), ("operator==", 2, 35)]
+        tree = compile_source(self.V + "void f() { V a, b, c; V r = a == b < c; }")
+        assert call_sequence(tree, "f") == [("operator<", 2, 36), ("operator==", 2, 31)]
+
+    def test_pointer_to_member_binds_tightest(self):
+        tree = compile_source(self.V + "void f() { V a, b; int m; V r = a * b ->* m; }")
+        assert call_sequence(tree, "f") == [("operator->*", 2, 39), ("operator*", 2, 35)]
+        tree = compile_source(self.V + "void f() { V a, b; int m; V r = a ->* m * b; }")
+        assert call_sequence(tree, "f") == [("operator->*", 2, 35), ("operator*", 2, 41)]
+
+    def test_free_shift_chain_is_left_associative(self):
+        tree = compile_source(
+            "class S { };\n"
+            "S& operator<<(S& s, int v) { return s; }\n"
+            "void f() { S s; int x, y; s << x << y; }"
+        )
+        assert call_sequence(tree, "f") == [("operator<<", 3, 29), ("operator<<", 3, 34)]
+
+
 class TestLifetimes:
     """Constructor/destructor call extraction — paper Section 3.1's
     'lifetime' handling."""
