@@ -106,9 +106,6 @@ class DiagnosticSink:
     def warning_count(self) -> int:
         return sum(1 for d in self.diagnostics if d.severity is Severity.WARNING)
 
-    def render_all(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)
-
     def render_errors(self) -> list[str]:
         """Rendered error diagnostics only (build-failure reports)."""
         return [d.render() for d in self.diagnostics if d.severity is Severity.ERROR]

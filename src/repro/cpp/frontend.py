@@ -73,6 +73,9 @@ class Frontend:
         #: files the preprocessor consumed for the last ``compile`` call,
         #: in first-use order — the hash set for pdbbuild's incremental cache
         self.last_consumed_files: list = []
+        #: header-cache (hits, misses, uncacheable) of the last ``compile``
+        #: call alone: deltas, since the cache outlives each TU
+        self.last_header_cache: tuple[int, int, int] = (0, 0, 0)
         #: per-TU results of the last ``compile_many`` call, parallel to
         #: its input list (``compile`` overwrites the ``last_*`` scalars
         #: per TU, so multi-TU callers read these instead)
@@ -155,11 +158,17 @@ class Frontend:
             )
             tree.macros = list(pp.macro_records)
             if hc is not None:
+                self.last_header_cache = (
+                    hc.hits - hc_base[0],
+                    hc.misses - hc_base[1],
+                    hc.uncacheable - hc_base[2],
+                )
+                hits, misses, uncacheable = self.last_header_cache
                 obs.counter(
                     "frontend.header_cache",
-                    hits=hc.hits - hc_base[0],
-                    misses=hc.misses - hc_base[1],
-                    uncacheable=hc.uncacheable - hc_base[2],
+                    hits=hits,
+                    misses=misses,
+                    uncacheable=uncacheable,
                 )
         return tree
 

@@ -167,15 +167,6 @@ class ParserBase:
                 depth -= 1
             self.advance()
 
-    def collect_balanced_text(self, open_text: str) -> str:
-        """Collect the raw text between balanced brackets (for default
-        argument values and non-type template arguments)."""
-        from repro.cpp.tokens import tokens_to_text
-
-        start = self.pos
-        self.skip_balanced(open_text)
-        return tokens_to_text(self.tokens[start + 1 : self.pos - 1])
-
     # -- classification ---------------------------------------------------------
 
     def starts_decl_specifier(self) -> bool:

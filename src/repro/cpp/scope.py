@@ -125,14 +125,6 @@ class Binder:
     def pop_tparams(self) -> None:
         self.tparam_stack.pop()
 
-    @property
-    def in_dependent_context(self) -> bool:
-        """True while parsing inside a template definition (any bound
-        parameter is still a dependent type)."""
-        return any(
-            any(t.is_dependent for t in frame.values()) for frame in self.tparam_stack
-        )
-
     # -- namespace member search -----------------------------------------
 
     @staticmethod
@@ -261,11 +253,6 @@ class Binder:
         if isinstance(scope, Namespace):
             return self.find_in_namespace(scope, name)
         return self.find_in_class(scope, name)
-
-    # -- convenience ---------------------------------------------------------
-
-    def global_ns(self) -> Namespace:
-        return self.tree.global_namespace
 
 
 def _strip_targs(name: str) -> str:

@@ -60,13 +60,6 @@ class SourceFile:
         if other not in self.includes:
             self.includes.append(other)
 
-    def line_text(self, line: int) -> str:
-        """Return the 1-based ``line`` of the file text (for diagnostics)."""
-        lines = self.text.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return ""
-
 
 class SourceManager:
     """Owns all source files; resolves and caches includes.

@@ -25,7 +25,7 @@ from repro.ductape.items import (
     PdbType,
 )
 from repro.pdbfmt.items import ItemRef, PdbDocument, RawItem
-from repro.pdbfmt.reader import parse_pdb
+from repro.pdbfmt.reader import PdbParseError, parse_pdb
 from repro.pdbfmt.writer import write_pdb
 
 
@@ -67,8 +67,14 @@ class PDB:
 
     @classmethod
     def read(cls, path: str) -> "PDB":
+        """Load a PDB file; a :class:`PdbParseError` names ``path``."""
         with open(path) as f:
-            return cls.from_text(f.read())
+            text = f.read()
+        try:
+            return cls.from_text(text)
+        except PdbParseError as exc:
+            exc.path = path
+            raise
 
     @classmethod
     def from_il(cls, tree) -> "PDB":

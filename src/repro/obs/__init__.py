@@ -1,22 +1,22 @@
 """repro.obs — toolchain self-observability: phase-scoped wall timers.
 
-The repro's dynamic-analysis half is a real TAU measurement runtime
-(:mod:`repro.tau.runtime`) driven, for paper experiments, by a virtual
-clock.  This module *dogfoods* that runtime with a wall-clock source to
-observe the toolchain itself: the frontend's phases (preprocess, lex,
+The toolchain observes itself: the frontend's phases (preprocess, lex,
 parse, instantiate), the IL Analyzer passes, the PDB writer and merge,
-and ``pdbbuild``'s workers all report into phase-scoped timers.
-
-Two products come out of one set of measurements:
+and ``pdbbuild``'s workers all report into phase-scoped timers.  Each
+timer records one :class:`Span` (wall-clock start and duration); the
+spans are the one record, and everything else is derived from them:
 
 * **Chrome trace** (``chrome://tracing`` / Perfetto event format):
   every phase is a complete ``"ph": "X"`` span with microsecond ``ts``
   and ``dur``, grouped by process (``pid``) and thread (``tid``);
   counters (cache hits/misses/evictions) are ``"ph": "C"`` events.
 * **TAU profile**: :func:`replay_spans` reconstructs the nesting and
-  drives a real :class:`~repro.tau.runtime.Profiler`, so the paper's
-  own display code (``pprof`` tables, ``profile.n.c.t`` files) renders
-  the toolchain's hot phases — one worker process per TAU "node".
+  drives the repro's real TAU measurement runtime
+  (:class:`~repro.tau.runtime.Profiler`), so its inclusive/exclusive
+  accounting and the paper's own display code (``pprof`` tables,
+  ``profile.n.c.t`` files) render the toolchain's hot phases — one
+  worker process per TAU "node".
+* **Per-phase totals** for ``--stats-json``: :func:`phase_aggregates`.
 
 Layering: this module depends only on the standard library and
 ``repro.tau.runtime``.  It must never import the tools it observes
@@ -37,7 +37,6 @@ what keeps observability overhead within the E17 budget.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
@@ -57,7 +56,6 @@ __all__ = [
     "get_observer",
     "is_enabled",
     "observe",
-    "timed",
     "counter",
     "chrome_trace_events",
     "write_chrome_trace",
@@ -99,13 +97,9 @@ class Counter:
 
 
 class Observer:
-    """Collects phase spans and drives a TAU profiler with wall time.
+    """Collects phase spans and counter samples on a wall clock.
 
-    The TAU runtime measures whatever clock it is fed; here the feed is
-    ``clock()`` (default :func:`time.perf_counter`) synchronised before
-    every start/stop, so inclusive/exclusive accounting — the part the
-    paper's runtime already does — works unchanged on wall time.
-
+    ``clock`` (default :func:`time.perf_counter`) times every phase;
     ``epoch`` anchors span timestamps to an absolute timeline
     (defaults to :func:`time.time` at construction); tests pass a fake
     clock and ``epoch=0`` for determinism.
@@ -119,7 +113,6 @@ class Observer:
         self._clock = clock
         self._t0 = clock()
         self.epoch = time.time() if epoch is None else epoch
-        self.profiler = Profiler()
         self.spans: list[Span] = []
         self.counters: list[Counter] = []
         self.pid = os.getpid()
@@ -130,57 +123,27 @@ class Observer:
         """Seconds since this observer was created."""
         return self._clock() - self._t0
 
-    def _prof(self) -> ThreadProfile:
-        return self.profiler.profile(node=0)
-
-    def _sync(self) -> ThreadProfile:
-        """Advance the TAU profile's clock to wall-now."""
-        prof = self._prof()
-        t = self._elapsed()
-        if t > prof.now:
-            prof.advance(t - prof.now)
-        return prof
-
     # -- phases ----------------------------------------------------------
 
     @contextmanager
     def phase(self, name: str, cat: str = "toolchain", **args):
-        """Phase-scoped timer: a TAU timer start/stop pair plus one
-        Chrome-trace complete span."""
-        prof = self._sync()
-        t_start = prof.now
-        prof.start(name, cat)
+        """Phase-scoped timer: one complete span, recorded on exit
+        (exceptions included)."""
+        t_start = self._elapsed()
         try:
             yield self
         finally:
-            prof = self._sync()
-            prof.stop(name)
             self.spans.append(
                 Span(
                     name=name,
                     cat=cat,
                     ts=(self.epoch + t_start) * 1e6,
-                    dur=(prof.now - t_start) * 1e6,
+                    dur=(self._elapsed() - t_start) * 1e6,
                     pid=self.pid,
                     tid=threading.get_native_id(),
                     args=dict(args),
                 )
             )
-
-    def timed(self, name: Optional[str] = None, cat: str = "toolchain"):
-        """Decorator form of :meth:`phase`."""
-
-        def deco(fn):
-            phase_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*a, **kw):
-                with self.phase(phase_name, cat):
-                    return fn(*a, **kw)
-
-            return wrapper
-
-        return deco
 
     def counter(self, name: str, **values: float) -> None:
         """Record one counter sample (cache hits/misses, evictions…)."""
@@ -241,25 +204,6 @@ def observe(name: str, cat: str = "toolchain", **args):
         return
     with _observers[-1].phase(name, cat, **args) as obs:
         yield obs
-
-
-def timed(name: Optional[str] = None, cat: str = "toolchain"):
-    """Module-level decorator: times through whatever observer is
-    installed at call time (no-op when disabled)."""
-
-    def deco(fn):
-        phase_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            if not _observers:
-                return fn(*a, **kw)
-            with _observers[-1].phase(phase_name, cat):
-                return fn(*a, **kw)
-
-        return wrapper
-
-    return deco
 
 
 def counter(name: str, **values: float) -> None:

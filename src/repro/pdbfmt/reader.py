@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 import sys
+from typing import Optional
 
 from repro.pdbfmt.items import Attribute, PdbDocument, RawItem
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS
@@ -80,11 +81,21 @@ def _key_info(prefix: str, key: str, line: str) -> tuple:
 
 
 class PdbParseError(Exception):
-    """Raised on structurally invalid PDB text."""
+    """Raised on structurally invalid PDB text.
+
+    ``path`` names the file the text came from, when it came from one
+    (:meth:`repro.ductape.pdb.PDB.read` sets it); the message then reads
+    ``path:line: message`` instead of ``line N: message``."""
 
     def __init__(self, message: str, line_no: int):
+        super().__init__(message, line_no)
+        self.message = message
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        self.path: Optional[str] = None
+
+    def __str__(self) -> str:
+        where = f"line {self.line_no}" if self.path is None else f"{self.path}:{self.line_no}"
+        return f"{where}: {self.message}"
 
 
 def parse_pdb(text: str, strict: bool = False) -> PdbDocument:
@@ -222,9 +233,3 @@ def _parse_pdb_regex(text: str) -> PdbDocument:
     if doc is None:
         raise PdbParseError("empty input: missing <PDB> header", 0)
     return doc
-
-
-def parse_pdb_file(path: str, strict: bool = False) -> PdbDocument:
-    """Parse a PDB file from disk."""
-    with open(path) as f:
-        return parse_pdb(f.read(), strict=strict)

@@ -28,9 +28,3 @@ def write_pdb(doc: PdbDocument) -> str:
                 lines.append(attr.render())
             lines.append("")
         return "\n".join(lines)
-
-
-def write_pdb_file(doc: PdbDocument, path: str) -> None:
-    """Write a document to a PDB file on disk."""
-    with open(path, "w") as f:
-        f.write(write_pdb(doc))

@@ -1,26 +1,18 @@
 """cxxparse — the front-end driver: C++ sources -> PDB file.
 
 In the real PDT distribution this is the EDG front end invoked with the
-used-instantiation option, piped into the IL Analyzer.  Here it routes
-through the shared :mod:`repro.tools.pdbbuild` driver with one worker
-and no cache, so compiling N sources still means N separate
-compilations ``pdbmerge``d into one database (the PDT build workflow) —
-``pdbbuild`` is the same pipeline run parallel and incremental."""
+used-instantiation option, piped into the IL Analyzer.  Here it is a
+thin front on :mod:`repro.tools.pdbbuild`'s command line: one worker,
+no cache, so compiling N sources still means N separate compilations
+``pdbmerge``d into one database (the PDT build workflow) — ``pdbbuild``
+is the same pipeline run parallel and incremental."""
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Optional
 
-from repro.tools.pdbbuild import (
-    BuildOptions,
-    TUCompileError,
-    add_mode_arguments,
-    add_recovery_arguments,
-    build,
-    parse_passes,
-)
+from repro.tools.pdbbuild import build_to_file, parse_build_args, print_summary
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -28,42 +20,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="cxxparse", description="compile C++ sources into a PDB file"
     )
-    ap.add_argument(
-        "source",
-        nargs="+",
-        help="translation unit(s); multiple TUs are compiled separately "
+    args, options = parse_build_args(
+        ap,
+        argv,
+        source_help="translation unit(s); multiple TUs are compiled separately "
         "and pdbmerge'd into one database (the PDT build workflow)",
-    )
-    ap.add_argument("-o", "--output", help="output PDB (default: <source>.pdb)")
-    ap.add_argument(
-        "-I", dest="include_paths", action="append", default=[], help="include path"
-    )
-    add_mode_arguments(ap)
-    add_recovery_arguments(ap)
-    ap.add_argument(
-        "--passes",
-        help="comma-separated analyzer traversals to run (so,te,na,cl,ro,ty,ma) "
+        passes_help="comma-separated analyzer traversals to run (so,te,na,cl,ro,ty,ma) "
         "— §3.1's 'selection of the constructs to be reported'",
     )
-    args = ap.parse_args(argv)
-    options = BuildOptions(
-        include_paths=tuple(args.include_paths),
-        instantiation_mode=args.mode,
-        passes=parse_passes(ap, args.passes),
-        keep_going_errors=args.keep_going_errors,
-    )
-    try:
-        merged, stats = build(args.source, options)
-    except TUCompileError as exc:
-        for line in exc.diagnostics:
-            print(line, file=sys.stderr)
-        print(f"cxxparse: error: {exc}", file=sys.stderr)
+    built = build_to_file("cxxparse", args, options)
+    if built is None:
         return 1
-    out = args.output or (args.source[0].rsplit(".", 1)[0] + ".pdb")
-    merged.write(out)
-    print(f"{out}: {stats.output_items} items")
-    if stats.warnings:
-        print(f"{stats.warnings} warning(s)")
+    print_summary(*built)
     return 0
 
 

@@ -66,6 +66,7 @@ import os
 import sys
 import time
 import uuid
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -271,11 +272,9 @@ class _TUOutput:
     wall_s: float
     errors: list[str] = field(default_factory=list)
     spans: list = field(default_factory=list)
-    #: frontend header-cache activity during this TU's compilation
-    #: (plain ints, so they pickle back from worker processes)
-    hc_hits: int = 0
-    hc_misses: int = 0
-    hc_uncacheable: int = 0
+    #: frontend header-cache (hits, misses, uncacheable) during this TU's
+    #: compilation, as :attr:`Frontend.last_header_cache` counted them
+    header_cache: tuple[int, int, int] = (0, 0, 0)
 
 
 def _fault_matches(source: str, name: str) -> bool:
@@ -359,8 +358,6 @@ def _compile_tu(
     fe = _worker_frontend(options, epoch)
     if files:
         fe.register_files(files)
-    hc = fe.header_cache
-    hc_base = (hc.hits, hc.misses, hc.uncacheable) if hc is not None else (0, 0, 0)
     try:
         tree = fe.compile(source)
     except CppError as exc:
@@ -398,61 +395,12 @@ def _compile_tu(
         warnings=warnings,
         wall_s=time.perf_counter() - start,
         errors=errors,
-        # deltas, not totals: the Frontend (and its counters) is shared
-        # across every TU this worker compiles in the current build
-        hc_hits=hc.hits - hc_base[0] if hc is not None else 0,
-        hc_misses=hc.misses - hc_base[1] if hc is not None else 0,
-        hc_uncacheable=hc.uncacheable - hc_base[2] if hc is not None else 0,
+        header_cache=fe.last_header_cache,
     )
 
 
-def _failure_from(source: str, exc: Exception, phase: str, retries: int = 0) -> TUFailure:
-    if isinstance(exc, TUCompileError):
-        return TUFailure(
-            source=source,
-            phase=phase,
-            error=exc.message,
-            diagnostics=list(exc.diagnostics),
-            retries=retries,
-        )
-    return TUFailure(source=source, phase=phase, error=str(exc), retries=retries)
-
-
-def _retry_broken(
-    i: int,
-    source: str,
-    options: BuildOptions,
-    files: Optional[dict[str, str]],
-    timeout: Optional[float],
-    outputs: dict[int, "_TUOutput"],
-    failures: dict[int, TUFailure],
-    trace: bool = False,
-    epoch: str = "",
-) -> None:
-    """Re-run one TU whose shared-pool future died with BrokenProcessPool.
-
-    A single crashing worker poisons every pending future in the pool,
-    so most victims are innocent: rerun each once in an isolated
-    single-worker pool.  A TU that kills its worker *again* is the real
-    culprit and fails with phase ``worker``."""
-    pool = ProcessPoolExecutor(max_workers=1)
-    fut = pool.submit(_compile_tu, source, options, files, trace, epoch)
-    try:
-        outputs[i] = fut.result(timeout=timeout)
-        pool.shutdown()
-    except TUCompileError as exc:
-        pool.shutdown()
-        failures[i] = _failure_from(source, exc, "frontend", retries=1)
-    except FuturesTimeout:
-        pool.shutdown(wait=False, cancel_futures=True)
-        failures[i] = TUFailure(
-            source, "timeout", f"timed out after {timeout:g}s (on retry)", retries=1
-        )
-    except BrokenProcessPool:
-        pool.shutdown(wait=False)
-        failures[i] = TUFailure(
-            source, "worker", "worker process crashed (reproduced on retry)", retries=1
-        )
+def _frontend_failure(source: str, exc: TUCompileError, retries: int = 0) -> TUFailure:
+    return TUFailure(source, "frontend", exc.message, list(exc.diagnostics), retries)
 
 
 def build(
@@ -495,46 +443,11 @@ def build(
     ``stats.check_report``, the summary (per-rule counts, per-check wall
     time) in ``stats.check`` / the stats document's ``check`` section.
     """
-    observer = obs.enable() if trace else None
-    try:
-        if observer is None:
-            return _build(
-                sources, options, jobs, cache_dir, files, keep_going, timeout,
-                trace, observer, checks,
-            )
-        with observer.phase("pdbbuild.build", cat="pdbbuild", jobs=jobs):
-            merged, stats = _build(
-                sources, options, jobs, cache_dir, files, keep_going, timeout,
-                trace, observer, checks,
-            )
-    finally:
-        if observer is not None:
-            obs.disable()
-    stats.trace_spans = list(observer.spans)
-    stats.trace_counters = list(observer.counters)
-    stats.phases = obs.phase_aggregates(stats.trace_spans)
-    return merged, stats
-
-
-def _build(
-    sources: list[str],
-    options: Optional[BuildOptions],
-    jobs: int,
-    cache_dir: Optional[str],
-    files: Optional[dict[str, str]],
-    keep_going: bool,
-    timeout: Optional[float],
-    trace: bool,
-    observer,
-    checks: Optional[str] = None,
-) -> tuple[PDB, BuildStats]:
-    """The build pipeline behind :func:`build` (observer installed)."""
-    t0 = time.perf_counter()
     options = options or BuildOptions()
-    stats = BuildStats(jobs=jobs, cache_dir=cache_dir)
-    cache = BuildCache(cache_dir) if cache_dir else None
     fingerprint = options.fingerprint()
     epoch = uuid.uuid4().hex  # scopes per-worker Frontend reuse to this build
+    outputs: dict[int, _TUOutput] = {}
+    failures: dict[int, TUFailure] = {}
 
     def read_content(name: str) -> Optional[str]:
         if files and name in files:
@@ -544,181 +457,186 @@ def _build(
         except OSError:
             return None
 
-    outputs: dict[int, _TUOutput] = {}
-    failures: dict[int, TUFailure] = {}
-    hits: dict[int, bool] = {}
-    to_compile: list[tuple[int, str]] = []
-    with obs.observe("cache.lookup", cat="pdbbuild", tus=len(sources)):
-        for i, source in enumerate(sources):
-            entry = cache.lookup(fingerprint, source, read_content) if cache else None
-            if entry is not None:
-                outputs[i] = _TUOutput(
-                    source=source,
-                    pdb_text=entry.pdb_text,
-                    dep_hashes=entry.deps,
-                    items=entry.items,
-                    warnings=entry.warnings,
-                    wall_s=0.0,
-                    errors=entry.errors,
-                )
-                hits[i] = True
-            else:
-                to_compile.append((i, source))
-                hits[i] = False
-            if cache is not None and observer is not None:
-                # cumulative hit/miss/eviction ramp, one sample per lookup
-                observer.counter(
-                    "cache",
-                    hits=cache.stats.hits,
-                    misses=cache.stats.misses,
-                    evictions=cache.stats.evictions,
-                )
+    def run_pool(tasks: list[tuple[int, str]], workers: int, retries: int = 0) -> None:
+        """Compile ``tasks`` in worker processes into ``outputs``/``failures``.
 
-    use_pool = jobs > 1 and (len(to_compile) > 1 or (to_compile and timeout))
-    if use_pool:
-        # Batches re-run whatever a mid-batch pool shutdown (hung
-        # worker) left uncollected; every batch records at least one
-        # failure before re-queueing, so the loop terminates.
-        remaining = list(to_compile)
+        Batches re-run whatever a mid-batch pool shutdown (hung worker)
+        left uncollected; every batch records at least one failure before
+        re-queueing, so the loop terminates.  A worker crash poisons every
+        pending future in the pool (``BrokenProcessPool`` cannot name the
+        victim), so each victim is re-run once, by this runner, in its own
+        one-worker pool (``retries=1``): innocent bystanders recover, and
+        a TU whose re-run crashes too is the culprit (phase ``worker``)."""
+        on_retry = " (on retry)" if retries else ""
+        remaining = list(tasks)
         while remaining:
             batch, remaining = remaining, []
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=workers)
             futures = [
-                (
-                    i,
-                    source,
-                    pool.submit(_compile_tu, source, options, files, trace, epoch),
-                )
+                (i, source, pool.submit(_compile_tu, source, options, files, trace, epoch))
                 for i, source in batch
             ]
             broken: list[tuple[int, str]] = []
             hung = False
             for i, source, fut in futures:
-                if hung:
-                    # the pool is shut down; keep finished results,
-                    # re-queue what was cancelled or still running
-                    if fut.done() and not fut.cancelled():
-                        try:
-                            outputs[i] = fut.result()
-                        except TUCompileError as exc:
-                            failures[i] = _failure_from(source, exc, "frontend")
-                        except BrokenProcessPool:
-                            broken.append((i, source))
-                    else:
-                        remaining.append((i, source))
+                if hung and (fut.cancelled() or not fut.done()):
+                    # the pool is shut down: re-queue what it never finished
+                    remaining.append((i, source))
                     continue
                 try:
                     outputs[i] = fut.result(timeout=timeout)
                 except TUCompileError as exc:
-                    failures[i] = _failure_from(source, exc, "frontend")
+                    failures[i] = _frontend_failure(source, exc, retries)
                 except FuturesTimeout:
-                    failures[i] = TUFailure(
-                        source, "timeout", f"timed out after {timeout:g}s"
-                    )
+                    message = f"timed out after {timeout:g}s{on_retry}"
+                    failures[i] = TUFailure(source, "timeout", message, retries=retries)
                     hung = True
                     pool.shutdown(wait=False, cancel_futures=True)
                 except BrokenProcessPool:
-                    broken.append((i, source))
+                    if retries:
+                        message = "worker process crashed (reproduced on retry)"
+                        failures[i] = TUFailure(source, "worker", message, retries=retries)
+                    else:
+                        broken.append((i, source))
             if not hung:
                 pool.shutdown()
-            for i, source in broken:
-                _retry_broken(
-                    i, source, options, files, timeout, outputs, failures, trace, epoch
+            for victim in broken:
+                run_pool([victim], workers=1, retries=1)
+
+    observer = obs.enable() if trace else None
+    scope = (
+        observer.phase("pdbbuild.build", cat="pdbbuild", jobs=jobs)
+        if observer is not None
+        else nullcontext()
+    )
+    try:
+        with scope:
+            t0 = time.perf_counter()
+            stats = BuildStats(jobs=jobs, cache_dir=cache_dir)
+            cache = BuildCache(cache_dir) if cache_dir else None
+            hits: dict[int, bool] = {}
+            to_compile: list[tuple[int, str]] = []
+            with obs.observe("cache.lookup", cat="pdbbuild", tus=len(sources)):
+                for i, source in enumerate(sources):
+                    entry = cache.lookup(fingerprint, source, read_content) if cache else None
+                    hits[i] = entry is not None
+                    if entry is not None:
+                        outputs[i] = _TUOutput(
+                            source=source,
+                            pdb_text=entry.pdb_text,
+                            dep_hashes=entry.deps,
+                            items=entry.items,
+                            warnings=entry.warnings,
+                            wall_s=0.0,
+                            errors=entry.errors,
+                        )
+                    else:
+                        to_compile.append((i, source))
+                    if cache is not None and observer is not None:
+                        # cumulative hit/miss/eviction ramp, one sample per lookup
+                        observer.counter(
+                            "cache",
+                            hits=cache.stats.hits,
+                            misses=cache.stats.misses,
+                            evictions=cache.stats.evictions,
+                        )
+
+            use_pool = jobs > 1 and (len(to_compile) > 1 or (to_compile and timeout))
+            if use_pool:
+                run_pool(to_compile, jobs)
+            else:
+                for i, source in to_compile:
+                    try:
+                        outputs[i] = _compile_tu(source, options, files, trace, epoch)
+                    except TUCompileError as exc:
+                        failures[i] = _frontend_failure(source, exc)
+
+            if failures and not keep_going:
+                f = failures[min(failures)]
+                raise TUCompileError(f.source, f.error, tuple(f.diagnostics))
+
+            for i in range(len(sources)):
+                if i in failures:
+                    continue  # quarantined: never cached, never merged
+                out = outputs[i]
+                if cache and not hits[i]:
+                    cache.store(
+                        fingerprint,
+                        out.source,
+                        out.dep_hashes,
+                        out.pdb_text,
+                        items=out.items,
+                        warnings=out.warnings,
+                        errors=out.errors,
+                    )
+                if observer is not None and out.spans:
+                    observer.adopt(out.spans)
+                stats.tus.append(
+                    TUReport(
+                        source=out.source,
+                        cache_hit=hits[i],
+                        wall_s=out.wall_s,
+                        items=out.items,
+                        warnings=out.warnings,
+                        errors=len(out.errors),
+                        phases={
+                            name: row["wall_s"]
+                            for name, row in obs.phase_aggregates(out.spans).items()
+                        },
+                    )
                 )
-    else:
-        for i, source in to_compile:
-            try:
-                outputs[i] = _compile_tu(source, options, files, trace, epoch)
-            except TUCompileError as exc:
-                failures[i] = _failure_from(source, exc, "frontend")
+                stats.warnings += out.warnings
+                stats.errors += len(out.errors)
+                stats.hc_hits += out.header_cache[0]
+                stats.hc_misses += out.header_cache[1]
+                stats.hc_uncacheable += out.header_cache[2]
+            stats.failures = [failures[i] for i in sorted(failures)]
+            if cache:
+                stats.cache_hits = cache.stats.hits
+                stats.cache_misses = cache.stats.misses
+                stats.cache_evictions = cache.stats.evictions
 
-    if failures and not keep_going:
-        first = min(failures)
-        f = failures[first]
-        raise TUCompileError(f.source, f.error, tuple(f.diagnostics))
+            tm = time.perf_counter()
+            from repro.tools.pdbmerge import merge_pdbs
 
-    for i, _ in to_compile:
-        if i in failures:
-            continue  # quarantined: never cached, never merged
-        out = outputs[i]
-        if cache:
-            cache.store(
-                fingerprint,
-                out.source,
-                out.dep_hashes,
-                out.pdb_text,
-                items=out.items,
-                warnings=out.warnings,
-                errors=out.errors,
-            )
+            with obs.observe("pdb.merge", cat="pdbbuild", tus=len(sources) - len(failures)):
+                texts = [outputs[i].pdb_text for i in range(len(sources)) if i not in failures]
+                if len(texts) == 1:
+                    # nothing to merge: the TU's own text is the output, as is
+                    merged = PDB.from_text(texts[0])
+                    stats.output_text = texts[0]
+                else:
+                    merged, per_fold = merge_pdbs([PDB.from_text(t) for t in texts])
+                    stats.merge = sum(per_fold, MergeStats())
+            stats.merge_wall_s = time.perf_counter() - tm
+            stats.output_items = len(merged.doc.items)
 
-    for i in range(len(sources)):
-        if i in failures:
-            continue
-        out = outputs[i]
-        if observer is not None and out.spans:
-            observer.adopt(out.spans)
-        stats.tus.append(
-            TUReport(
-                source=out.source,
-                cache_hit=hits[i],
-                wall_s=out.wall_s,
-                items=out.items,
-                warnings=out.warnings,
-                errors=len(out.errors),
-                phases={
-                    name: row["wall_s"]
-                    for name, row in obs.phase_aggregates(out.spans).items()
-                },
-            )
-        )
-        stats.warnings += out.warnings
-        stats.errors += len(out.errors)
-        stats.hc_hits += out.hc_hits
-        stats.hc_misses += out.hc_misses
-        stats.hc_uncacheable += out.hc_uncacheable
-    stats.failures = [failures[i] for i in sorted(failures)]
-    if cache:
-        stats.cache_hits = cache.stats.hits
-        stats.cache_misses = cache.stats.misses
-        stats.cache_evictions = cache.stats.evictions
+            if checks is not None:
+                from repro.check import run_checks
 
-    tm = time.perf_counter()
-    from repro.tools.pdbmerge import merge_pdbs
+                tc = time.perf_counter()
+                report = run_checks(merged, select=checks)
+                stats.check_report = report
+                stats.check = {
+                    "selection": checks,
+                    "findings": len(report.findings),
+                    "errors": report.count("error"),
+                    "warnings": report.count("warning"),
+                    "rules": report.rule_counts,
+                    "checks": {
+                        name: {"wall_s": report.timings[name]} for name in report.checks_run
+                    },
+                    "wall_s": time.perf_counter() - tc,
+                }
 
-    with obs.observe("pdb.merge", cat="pdbbuild", tus=len(sources) - len(failures)):
-        texts = [
-            outputs[i].pdb_text for i in range(len(sources)) if i not in failures
-        ]
-        if len(texts) == 1:
-            # nothing to merge: the TU's own text is the output, as is
-            merged = PDB.from_text(texts[0])
-            stats.output_text = texts[0]
-        else:
-            merged, per_fold = merge_pdbs([PDB.from_text(t) for t in texts])
-            stats.merge = sum(per_fold, MergeStats())
-    stats.merge_wall_s = time.perf_counter() - tm
-    stats.output_items = len(merged.doc.items)
-
-    if checks is not None:
-        from repro.check import run_checks
-
-        tc = time.perf_counter()
-        report = run_checks(merged, select=checks)
-        stats.check_report = report
-        stats.check = {
-            "selection": checks,
-            "findings": len(report.findings),
-            "errors": report.count("error"),
-            "warnings": report.count("warning"),
-            "rules": report.rule_counts,
-            "checks": {
-                name: {"wall_s": report.timings[name]} for name in report.checks_run
-            },
-            "wall_s": time.perf_counter() - tc,
-        }
-
-    stats.total_wall_s = time.perf_counter() - t0
+            stats.total_wall_s = time.perf_counter() - t0
+    finally:
+        if observer is not None:
+            obs.disable()
+    if observer is not None:
+        stats.trace_spans = list(observer.spans)
+        stats.trace_counters = list(observer.counters)
+        stats.phases = obs.phase_aggregates(stats.trace_spans)
     return merged, stats
 
 
@@ -731,35 +649,35 @@ def _process_names(spans) -> dict[int, str]:
     return labels
 
 
-def add_mode_arguments(ap: argparse.ArgumentParser) -> None:
-    """The --tused/--tall/--tauto instantiation-mode flags shared by
-    cxxparse and pdbbuild."""
-    ap.add_argument(
-        "--tused",
-        dest="mode",
-        action="store_const",
-        const=InstantiationMode.USED,
-        default=InstantiationMode.USED,
-        help="used-instantiation mode (default; the mode PDT needs)",
-    )
-    ap.add_argument(
-        "--tall",
-        dest="mode",
-        action="store_const",
-        const=InstantiationMode.ALL,
-        help="instantiate all members of instantiated templates",
-    )
-    ap.add_argument(
-        "--tauto",
-        dest="mode",
-        action="store_const",
-        const=InstantiationMode.PRELINK,
-        help="EDG automatic (prelinker) scheme: instantiations absent from the IL",
-    )
+def parse_build_args(
+    ap: argparse.ArgumentParser,
+    argv: Optional[list[str]],
+    source_help: str = "translation units to compile",
+    passes_help: str = "comma-separated analyzer traversals to run (so,te,na,cl,ro,ty,ma)",
+) -> tuple[argparse.Namespace, BuildOptions]:
+    """Add the arguments ``cxxparse`` and ``pdbbuild`` share to ``ap``,
+    parse ``argv``, and return it with the :class:`BuildOptions` it selects.
 
+    Shared: the sources, ``-o``, ``-I``, the ``--tused``/``--tall``/
+    ``--tauto`` instantiation modes, ``--keep-going-errors`` and
+    ``--passes`` (checked against the analyzer's traversals)."""
+    from repro.analyzer.ilanalyzer import DEFAULT_PASSES
 
-def add_recovery_arguments(ap: argparse.ArgumentParser) -> None:
-    """The frontend error-recovery flag shared by cxxparse and pdbbuild."""
+    ap.add_argument("source", nargs="+", help=source_help)
+    ap.add_argument("-o", "--output", help="output PDB (default: <source>.pdb)")
+    ap.add_argument(
+        "-I", dest="include_paths", action="append", default=[], help="include path"
+    )
+    for flag, mode, help_ in (
+        ("--tused", InstantiationMode.USED,
+         "used-instantiation mode (default; the mode PDT needs)"),
+        ("--tall", InstantiationMode.ALL,
+         "instantiate all members of instantiated templates"),
+        ("--tauto", InstantiationMode.PRELINK,
+         "EDG automatic (prelinker) scheme: instantiations absent from the IL"),
+    ):
+        ap.add_argument(flag, dest="mode", action="store_const", const=mode, help=help_)
+    ap.set_defaults(mode=InstantiationMode.USED)
     ap.add_argument(
         "--keep-going-errors",
         type=int,
@@ -768,19 +686,52 @@ def add_recovery_arguments(ap: argparse.ArgumentParser) -> None:
         "aborting on the first; recovered errors become ferr records in "
         "the output PDB",
     )
+    ap.add_argument("--passes", help=passes_help)
+    args = ap.parse_args(argv)
+    passes = None
+    if args.passes:
+        passes = tuple(p.strip() for p in args.passes.split(",") if p.strip())
+        unknown = set(passes) - set(DEFAULT_PASSES)
+        if unknown:
+            ap.error(f"unknown passes: {', '.join(sorted(unknown))}")
+    options = BuildOptions(
+        include_paths=tuple(args.include_paths),
+        instantiation_mode=args.mode,
+        passes=passes,
+        keep_going_errors=args.keep_going_errors,
+    )
+    return args, options
 
 
-def parse_passes(ap: argparse.ArgumentParser, spec: Optional[str]):
-    """Validate a --passes spec against the analyzer's known traversals."""
-    if not spec:
+def build_to_file(
+    prog: str, args: argparse.Namespace, options: BuildOptions, **build_kwargs
+) -> Optional[tuple[str, BuildStats]]:
+    """Run :func:`build` for a CLI and write the output PDB (``-o``, else
+    the first source with a ``.pdb`` suffix); returns ``(path, stats)``.
+
+    A :class:`TUCompileError` prints its diagnostics and a
+    ``prog: error: ...`` line to stderr and returns None."""
+    try:
+        merged, stats = build(args.source, options, **build_kwargs)
+    except TUCompileError as exc:
+        for line in exc.diagnostics:
+            print(line, file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return None
-    from repro.analyzer.ilanalyzer import DEFAULT_PASSES
+    out = args.output or (args.source[0].rsplit(".", 1)[0] + ".pdb")
+    with open(out, "w") as f:
+        f.write(stats.output_text if stats.output_text is not None else merged.to_text())
+    return out, stats
 
-    selected = tuple(p.strip() for p in spec.split(",") if p.strip())
-    unknown = set(selected) - set(DEFAULT_PASSES)
-    if unknown:
-        ap.error(f"unknown passes: {', '.join(sorted(unknown))}")
-    return selected
+
+def print_summary(out: str, stats: BuildStats) -> None:
+    """The closing lines of a build: output items, warnings, and the
+    recovered errors recorded as ``ferr`` items."""
+    print(f"{out}: {stats.output_items} items")
+    if stats.warnings:
+        print(f"{stats.warnings} warning(s)")
+    if stats.errors:
+        print(f"{stats.errors} recovered error(s) recorded as ferr items")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -788,11 +739,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="pdbbuild",
         description="parallel, incrementally-cached C++ -> PDB build driver",
-    )
-    ap.add_argument("source", nargs="+", help="translation units to compile")
-    ap.add_argument("-o", "--output", help="output PDB (default: <source>.pdb)")
-    ap.add_argument(
-        "-I", dest="include_paths", action="append", default=[], help="include path"
     )
     ap.add_argument(
         "-j", "--jobs", type=int, default=1, help="worker processes (default 1)"
@@ -846,22 +792,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "(optionally a comma list of check names / rule ids; default all); "
         "findings at warning level or above exit non-zero",
     )
-    add_mode_arguments(ap)
-    add_recovery_arguments(ap)
-    ap.add_argument(
-        "--passes",
-        help="comma-separated analyzer traversals to run (so,te,na,cl,ro,ty,ma)",
-    )
     ap.add_argument("-v", "--verbose", action="store_true")
-    args = ap.parse_args(argv)
-    options = BuildOptions(
-        include_paths=tuple(args.include_paths),
-        instantiation_mode=args.mode,
-        passes=parse_passes(ap, args.passes),
-        keep_going_errors=args.keep_going_errors,
-    )
-    cache_dir = None if args.no_cache else args.cache_dir
-    trace = bool(args.trace_json or args.self_profile)
+    args, options = parse_build_args(ap, argv)
     if args.check is not None:
         from repro.check import resolve_selection
 
@@ -869,25 +801,20 @@ def main(argv: Optional[list[str]] = None) -> int:
             resolve_selection(args.check)
         except ValueError as e:
             ap.error(str(e))
-    try:
-        merged, stats = build(
-            args.source,
-            options,
-            jobs=max(1, args.jobs),
-            cache_dir=cache_dir,
-            keep_going=args.keep_going,
-            timeout=args.timeout,
-            trace=trace,
-            checks=args.check,
-        )
-    except TUCompileError as exc:
-        for line in exc.diagnostics:
-            print(line, file=sys.stderr)
-        print(f"pdbbuild: error: {exc}", file=sys.stderr)
+    built = build_to_file(
+        "pdbbuild",
+        args,
+        options,
+        jobs=max(1, args.jobs),
+        cache_dir=None if args.no_cache else args.cache_dir,
+        keep_going=args.keep_going,
+        timeout=args.timeout,
+        trace=bool(args.trace_json or args.self_profile),
+        checks=args.check,
+    )
+    if built is None:
         return 1
-    out = args.output or (args.source[0].rsplit(".", 1)[0] + ".pdb")
-    with open(out, "w") as f:
-        f.write(stats.output_text if stats.output_text is not None else merged.to_text())
+    out, stats = built
     if args.stats_json:
         with open(args.stats_json, "w") as f:
             json.dump(stats.to_dict(), f, indent=1)
@@ -917,11 +844,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         print(render_text(stats.check_report, verbose=args.verbose))
         check_failed = stats.check_report.fails("warning")
-    print(f"{out}: {stats.output_items} items")
-    if stats.warnings:
-        print(f"{stats.warnings} warning(s)")
-    if stats.errors:
-        print(f"{stats.errors} recovered error(s) recorded as ferr items")
+    print_summary(out, stats)
     for f_ in stats.failures:
         for line in f_.diagnostics:
             print(line, file=sys.stderr)

@@ -25,9 +25,8 @@ from repro.check import (
     run_checks,
 )
 from repro.check.core import SEVERITIES
+from repro.tools.cli import read_pdb
 from repro.tools.pdbmerge import merge_pdbs
-
-from repro.ductape.pdb import PDB
 
 
 def list_rules() -> str:
@@ -110,10 +109,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"pdbcheck: error: {args.select}: {e}", file=sys.stderr)
             return 2
 
-    try:
-        pdbs = [PDB.read(p) for p in args.inputs]
-    except OSError as e:
-        print(f"pdbcheck: error: {e}", file=sys.stderr)
+    pdbs = [read_pdb(ap.prog, p) for p in args.inputs]
+    if None in pdbs:
         return 2
     pdb, _merge_stats = merge_pdbs(pdbs) if len(pdbs) > 1 else (pdbs[0], [])
 

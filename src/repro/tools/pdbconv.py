@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.ductape.items import PdbItem
 from repro.ductape.pdb import PDB
+from repro.tools.cli import read_pdb
 from repro.pdbfmt.items import ItemRef
 from repro.pdbfmt.spec import ATTRIBUTE_SCHEMAS, ITEM_TYPES
 
@@ -112,7 +113,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "-c", "--check", action="store_true", help="validate instead of converting"
     )
     args = ap.parse_args(argv)
-    pdb = PDB.read(args.pdb)
+    pdb = read_pdb(ap.prog, args.pdb)
+    if pdb is None:
+        return 2
     if args.check:
         problems = check_pdb(pdb)
         for p in problems:

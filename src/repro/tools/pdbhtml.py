@@ -22,6 +22,7 @@ from repro.ductape.items import (
     PdbTemplate,
 )
 from repro.ductape.pdb import PDB
+from repro.tools.cli import read_pdb
 
 _STYLE = """
 body { font-family: sans-serif; margin: 2em; }
@@ -264,7 +265,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "annotated source pages with line anchors)",
     )
     args = ap.parse_args(argv)
-    pdb = PDB.read(args.pdb)
+    pdb = read_pdb(ap.prog, args.pdb)
+    if pdb is None:
+        return 2
     sources: Optional[dict[str, str]] = None
     if args.source_dir:
         sources = {}

@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.ductape.pdb import PDB, MergeIndex, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
+from repro.tools.cli import read_pdb
 
 
 def _clone(doc: PdbDocument) -> PdbDocument:
@@ -66,7 +67,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
-    pdbs = [PDB.read(p) for p in args.inputs]
+    pdbs = [read_pdb(ap.prog, p) for p in args.inputs]
+    if None in pdbs:
+        return 2
     odr_log: Optional[list] = [] if args.check else None
     merged, stats = merge_pdbs(pdbs, odr_log=odr_log)
     merged.write(args.output)

@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.ductape.items import ACTIVE, INACTIVE, PdbRoutine
 from repro.ductape.pdb import PDB
+from repro.tools.cli import read_pdb
 
 
 def print_func_tree(r: PdbRoutine, level: int, out: list[str]) -> None:
@@ -101,7 +102,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     ap.add_argument("-r", "--root", help="call-tree root routine (default: all roots)")
     args = ap.parse_args(argv)
-    pdb = PDB.read(args.pdb)
+    pdb = read_pdb(ap.prog, args.pdb)
+    if pdb is None:
+        return 2
     sections: list[tuple[str, str]] = []
     if args.tree in ("includes", "all"):
         sections.append(("FILE INCLUSION TREE", render_inclusion_tree(pdb)))

@@ -1,8 +1,8 @@
 """repro.obs tests: phase timers, Chrome traces, TAU replay, layering.
 
-The observability layer dogfoods the TAU measurement runtime with a
-wall clock; these tests drive it with a fake clock so every duration is
-deterministic.
+The observability layer records wall-clock spans, which replay through
+the TAU measurement runtime; these tests drive it with a fake clock so
+every duration is deterministic.
 """
 
 import json
@@ -52,10 +52,11 @@ class TestObserver:
             with o.phase("inner"):
                 clock.tick(3.0)
             clock.tick(0.5)
-        prof = o.profiler.profile(0)
-        assert prof.timers["outer"].inclusive == pytest.approx(4.5)
-        assert prof.timers["outer"].exclusive == pytest.approx(1.5)
-        assert prof.timers["inner"].exclusive == pytest.approx(3.0)
+        # the replayed profile's clock unit is microseconds
+        prof = obs.replay_spans(o.spans).profile(0)
+        assert prof.timers["outer"].inclusive == pytest.approx(4.5e6)
+        assert prof.timers["outer"].exclusive == pytest.approx(1.5e6)
+        assert prof.timers["inner"].exclusive == pytest.approx(3.0e6)
         # spans complete in exit order: inner first
         assert [s.name for s in o.spans] == ["inner", "outer"]
 
@@ -67,19 +68,6 @@ class TestObserver:
                 raise RuntimeError("boom")
         assert [s.name for s in o.spans] == ["failing"]
         assert o.spans[0].dur == pytest.approx(1e6)
-        assert o.profiler.profile(0).depth == 0  # timer stack unwound
-
-    def test_timed_decorator(self):
-        o, clock = make_observer()
-
-        @o.timed("work", cat="x")
-        def work():
-            clock.tick(2.5)
-            return 42
-
-        assert work() == 42
-        assert o.spans[0].name == "work"
-        assert o.spans[0].dur == pytest.approx(2.5e6)
 
     def test_counter_samples(self):
         o, clock = make_observer()
@@ -116,22 +104,6 @@ class TestGating:
         finally:
             obs.disable()
         assert [s.name for s in o.spans] == ["phase"]
-
-    def test_module_timed_checks_at_call_time(self):
-        calls = []
-
-        @obs.timed("late")
-        def fn():
-            calls.append(1)
-
-        fn()  # disabled: plain call
-        o = obs.enable()
-        try:
-            fn()
-        finally:
-            obs.disable()
-        assert len(calls) == 2
-        assert [s.name for s in o.spans] == ["late"]
 
 
 class TestChromeTrace:

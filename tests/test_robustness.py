@@ -246,6 +246,51 @@ class TestWorkerFaults:
         # every innocent bystander of the poisoned pool was retried home
         assert len(stats.tus) == 9
 
+    @staticmethod
+    def _corpus(tmp_path, n):
+        corpus = generate(SynthSpec(n_translation_units=n))
+        root = tmp_path / "src"
+        faults.write_corpus(root, corpus.files)
+        return [str(root / m) for m in corpus.main_files]
+
+    def test_victim_that_hangs_on_retry_times_out(self, tmp_path):
+        # mains[1] kills the pool while mains[0] sleeps in it: mains[0]
+        # is a broken-pool victim, and its retry then hangs past the bound
+        mains = self._corpus(tmp_path, 3)
+        with faults.slow_tu(Path(mains[0]).name, 5.0), faults.crashing_tu(
+            Path(mains[1]).name
+        ):
+            _, stats = build(
+                mains, BuildOptions(), jobs=2, keep_going=True, timeout=2.0
+            )
+        got = [(f.source, f.phase, f.retries) for f in stats.failures]
+        assert got == [(mains[0], "timeout", 1), (mains[1], "worker", 1)]
+        assert stats.failures[0].error == "timed out after 2s (on retry)"
+        assert [t.source for t in stats.tus] == [mains[2]]
+
+    def test_crash_then_frontend_error_on_retry(self, tmp_path):
+        mains = self._corpus(tmp_path, 3)
+        faults.break_tu(Path(mains[1]))
+        marker = tmp_path / "crash-once"
+        with faults.crashing_tu(Path(mains[1]).name, once_marker=marker):
+            _, stats = build(mains, BuildOptions(), jobs=2, keep_going=True)
+        assert marker.exists(), "the injected crash never fired"
+        got = [(f.source, f.phase, f.retries) for f in stats.failures]
+        assert got == [(mains[1], "frontend", 1)]
+        assert stats.failures[0].diagnostics
+        assert [t.source for t in stats.tus] == [mains[0], mains[2]]
+
+    def test_single_tu_with_timeout_compiles_in_a_worker(self, tmp_path):
+        # a per-TU bound is only enforceable in a worker process, so one
+        # TU with -j 2 and a timeout still goes through the pool
+        mains = self._corpus(tmp_path, 1)
+        merged, stats = build(mains, BuildOptions(), jobs=2, timeout=60.0, trace=True)
+        compile_pids = {s.pid for s in stats.trace_spans if s.name.startswith("compile ")}
+        assert len(compile_pids) == 1 and os.getpid() not in compile_pids
+        assert stats.failures == [] and len(stats.tus) == 1
+        serial, _ = build(mains, BuildOptions())
+        assert merged.to_text() == serial.to_text()
+
 
 # -- cache self-healing (satellite c) -----------------------------------
 

@@ -233,3 +233,44 @@ class TestPdbHtmlSourcePages:
         page = (tmp_path / f"ro_{push.id()}.html").read_text()
         loc = push.location()
         assert f"#L{loc.line()}" in page
+
+
+# -- malformed or missing PDB input -------------------------------------
+
+#: (file name, text, line the error names); None text = the file is absent
+BAD_INPUTS = {
+    "missing": ("missing.pdb", None, None),
+    "no-header": ("noheader.pdb", "ro#1 foo\nrloc so#1 1 1\n", 1),
+    "attr-before-item": ("attrfirst.pdb", "<PDB 3.0>\nrloc so#1 1 1\n", 2),
+}
+
+
+def _reader_cli(name, tmp_path):
+    import importlib
+
+    main = importlib.import_module(f"repro.tools.{name}").main
+    extra = {
+        "pdbmerge": ["-o", str(tmp_path / "merged.pdb")],
+        "pdbhtml": ["-o", str(tmp_path / "html")],
+    }.get(name, [])
+    return main, extra
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("tool", ["pdbcheck", "pdbtree", "pdbhtml", "pdbmerge", "pdbconv"])
+def test_bad_pdb_input_is_a_located_error(tool, case, tmp_path, capsys):
+    """Every PDB-reading CLI reports a missing or malformed input as one
+    ``prog: error: path[:line]: ...`` line and exits 2, never with a
+    traceback."""
+    fname, text, line = BAD_INPUTS[case]
+    path = tmp_path / fname
+    if text is not None:
+        path.write_text(text)
+    main, extra = _reader_cli(tool, tmp_path)
+    assert main([str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"{tool}: error: ")
+    assert str(path) in err
+    if line is not None:
+        assert f"{path}:{line}: " in err
