@@ -25,9 +25,8 @@ from repro.ductape.items import (
     PdbType,
 )
 from repro.pdbfmt.items import ItemRef, PdbDocument, RawItem
-from repro.pdbfmt.reader import PdbParseError, parse_pdb
+from repro.pdbfmt.reader import PdbParseError, parse_pdb, render_lines
 from repro.pdbfmt.writer import write_pdb
-
 
 
 @dataclass
@@ -275,12 +274,19 @@ class PDB:
 class MergeIndex:
     """The accumulator side of a merge, kept across folds.
 
-    Holds item key -> merged item, ODR key -> first definition, the
-    per-prefix id counters and the accumulator's ref index.  It is built
-    once from the accumulator and extended with every item a fold adds,
-    so folding N documents costs time linear in their total size rather
-    than re-keying the whole accumulator per fold.  An incoming item's
-    keys are computed once, against the document it came from.
+    Holds item key -> merged item's ref spelling, ODR key -> first
+    definition, the per-prefix id counters and the accumulator's
+    ``"prefix#id" -> name`` map.  It is built once from the accumulator
+    and extended with every item a fold adds, so folding N documents
+    costs time linear in their total size rather than re-keying the
+    whole accumulator per fold.  An incoming item's keys are computed
+    once, against the document it came from.
+
+    Keys come from each item's attribute *lines* (:meth:`RawItem.lines`:
+    the reader's unparsed lines, or a materialised item's attributes
+    rendered), through a first-value-per-key scan; refs resolve through
+    the name maps.  No attribute object is built for an item, duplicate
+    or kept: a kept item is cloned as its lines with the refs remapped.
 
     :meth:`fold` only appends to the accumulator document; a :class:`PDB`
     already wrapping it must be re-indexed after the last fold.
@@ -288,13 +294,14 @@ class MergeIndex:
 
     def __init__(self, doc: PdbDocument):
         self.doc = doc
-        self.index = index = doc.index()
-        self.keys: dict[tuple, RawItem] = {}
+        spellings, self.names = _names(doc.items)
+        self.keys: dict[tuple, str] = {}
         self.odr: dict[tuple, RawItem] = {}
         self.counters: dict[str, int] = {}
-        for raw in doc.items:
-            self.keys[_item_key(index, raw)] = raw
-            okey = _odr_key(index, raw)
+        for spelling, raw in zip(spellings, doc.items):
+            first = _first_values(raw.lines())
+            self.keys[_item_key(raw.prefix, raw.name, first, self.names)] = spelling
+            okey = _odr_key(raw.prefix, raw.name, first, self.names)
             if okey is not None:
                 self.odr.setdefault(okey, raw)
             self.counters[raw.prefix] = max(self.counters.get(raw.prefix, 0), raw.id)
@@ -303,106 +310,139 @@ class MergeIndex:
         """Append ``other``'s items that are not here yet (with fresh
         ids and remapped refs); ``other`` itself is never modified."""
         stats = MergeStats(items_in=len(other.items))
-        other_index = other.index()
-        keys, odr, counters = self.keys, self.odr, self.counters
+        spellings, other_names = _names(other.items)
+        keys, odr, counters, names = self.keys, self.odr, self.counters, self.names
         remap: dict[str, str] = {}
-        pending: list[RawItem] = []
-        #: ODR keys first defined by this fold: their entry in ``odr`` is
-        #: a clone whose refs still speak ``other``'s ids until the remap
-        fresh_odr: set = set()
-        for raw in other.items:
-            key = _item_key(other_index, raw)
+        pending: list[tuple[RawItem, RawItem, list]] = []  # (incoming, clone, its lines)
+        #: ODR keys first defined by this fold -> the incoming definition:
+        #: its clone's lines are not written (remapped) until the fold ends
+        fresh_odr: dict[tuple, RawItem] = {}
+        for spelling, raw in zip(spellings, other.items):
+            prefix = raw.prefix
+            first = _first_values(raw.lines())
+            key = _item_key(prefix, raw.name, first, other_names)
             existing = keys.get(key)
             if existing is not None:
-                remap[str(raw.ref)] = str(existing.ref)
+                remap[spelling] = existing
                 stats.duplicates_eliminated += 1
-                if raw.prefix in ("cl", "ro") and raw.get(
-                    "ctempl" if raw.prefix == "cl" else "rtempl"
-                ):
+                if (prefix == "cl" and "ctempl" in first) or (prefix == "ro" and "rtempl" in first):
                     stats.duplicate_instantiations += 1
                 continue
-            counters[raw.prefix] = counters.get(raw.prefix, 0) + 1
-            clone = RawItem(prefix=raw.prefix, id=counters[raw.prefix], name=raw.name)
-            for a in raw.attributes:
-                clone.attributes.append(a.clone())
-            okey = _odr_key(other_index, raw)
+            counters[prefix] = counters.get(prefix, 0) + 1
+            lines: list[str] = []  # written once every remap target is known
+            clone = RawItem.from_lines(prefix, counters[prefix], raw.name, lines)
+            okey = _odr_key(prefix, raw.name, first, other_names)
             if okey is not None:
                 prior = odr.get(okey)
                 if prior is None:
                     odr[okey] = clone
-                    fresh_odr.add(okey)
+                    fresh_odr[okey] = raw
                 else:
                     stats.odr_conflicts += 1
                     if odr_log is not None:
-                        where = other_index if okey in fresh_odr else self.index
+                        fresh = fresh_odr.get(okey)
                         odr_log.append(
                             {
-                                "kind": "routine" if raw.prefix == "ro" else "class",
+                                "kind": "routine" if prefix == "ro" else "class",
                                 "name": okey[1],
-                                "existing": _loc_str(where, prior),
-                                "incoming": _loc_str(other_index, raw),
+                                "existing": _loc_str(names, prior)
+                                if fresh is None
+                                else _loc_str(other_names, fresh),
+                                "incoming": _loc_str(other_names, raw),
                             }
                         )
-            remap[str(raw.ref)] = str(clone.ref)
-            pending.append(clone)
-            keys[key] = clone
+            remap[spelling] = keys[key] = f"{prefix}#{clone.id}"
+            pending.append((raw, clone, lines))
             stats.items_added += 1
         # remap keys are exactly the ``prefix#id`` spellings of incoming
         # refs: any word that could hit a key *is* a ref spelling, and
         # every other word misses and passes through
-        remap_get = remap.get
-        items, index = self.doc.items, self.index
-        for clone in pending:
-            for a in clone.attributes:
-                a.words = [remap_get(w, w) for w in a.words]
-            items.append(clone)
-            index[clone.ref] = clone
+        append = self.doc.items.append
+        for raw, clone, lines in pending:
+            lines.extend(render_lines(raw.prefix, raw.lines(), remap))
+            append(clone)
+            names[f"{clone.prefix}#{clone.id}"] = clone.name
         return stats
 
 
-def _item_key(index: dict, raw: RawItem) -> tuple:
-    """Identity key for merge deduplication.
+#: attribute keys holding an item's defining location, in the order
+#: merge keys look for the first known one
+_LOC_KEYS = ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc")
+
+
+def _names(items: list[RawItem]) -> tuple[list[str], dict[str, str]]:
+    """Each item's ref spelling (``cl#3``), and spelling -> item name
+    (the last item wins a repeated id)."""
+    spellings = [f"{i.prefix}#{i.id}" for i in items]
+    return spellings, dict(zip(spellings, [i.name for i in items]))
+
+
+def _first_values(lines: list[str]) -> dict[str, str]:
+    """Attribute key -> the value text of its first line."""
+    first: dict[str, str] = {}
+    for line in lines:
+        key, _, rest = line.partition(" ")
+        if key not in first:
+            first[key] = rest
+    return first
+
+
+def _first_word(value: Optional[str]) -> Optional[str]:
+    words = value.split(None, 1) if value is not None else None
+    return words[0] if words else None
+
+
+def _name_of(names: dict[str, str], word: str) -> Optional[str]:
+    """Name of the item ``word`` refers to; None for NULL or a dangling ref."""
+    name = names.get(word)
+    if name is None and word != "NULL":
+        # a spelling the writer never emits (``so#06``); a word that is
+        # no ref at all raises ValueError, as DUCTAPE's resolution does
+        ref = ItemRef.parse(word)
+        name = names.get(f"{ref.prefix}#{ref.id}")
+    return name
+
+
+def _item_key(prefix: str, name: str, first: dict[str, str], names: dict[str, str]) -> tuple:
+    """Identity key for merge deduplication, from an item's first
+    attribute values (:func:`_first_values`), resolved in ``names``.
 
     Two items from separate compilations are "the same entity" when their
     kind, name, and defining source position coincide — template
     instantiations share the template's definition position, so repeated
     ``Stack<int>`` subtrees collapse (the paper's headline merge feature).
     """
-    loc_key = _loc_key(index, raw)
-    if raw.prefix == "so":
-        return ("so", raw.name)
-    if raw.prefix == "ty":
-        return ("ty", raw.name, _parent_name(index, raw, "yclass", "ynspace"))
-    if raw.prefix == "ma":
-        return ("ma", raw.name, loc_key)
-    if raw.prefix == "ferr":
+    if prefix == "so":
+        return ("so", name)
+    if prefix == "ty":
+        return ("ty", name, _parent_name(first, names, ("yclass", "ynspace")))
+    if prefix == "na":
+        return ("na", name, _parent_name(first, names, ("nnspace",)))
+    loc_key = _loc_key(first, names)
+    if prefix == "ma":
+        return ("ma", name, loc_key)
+    if prefix == "ferr":
         # one record per distinct (file, position, message): re-merging
         # the same failed TU does not duplicate its error list
-        a = raw.get("fmsg")
-        return ("ferr", raw.name, loc_key, a.text if a is not None else "")
-    if raw.prefix == "na":
-        return ("na", raw.name, _parent_name(index, raw, "", "nnspace"))
-    if raw.prefix == "te":
-        return ("te", raw.name, loc_key, raw.first_word("tkind"))
-    if raw.prefix == "cl":
-        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"), loc_key)
-    if raw.prefix == "ro":
-        sig = raw.get_ref("rsig")
-        sig_name = ""
-        if sig is not None:
-            sig_item = index.get(sig)
-            sig_name = sig_item.name if sig_item is not None else ""
+        return ("ferr", name, loc_key, first.get("fmsg", ""))
+    if prefix == "te":
+        return ("te", name, loc_key, _first_word(first.get("tkind")))
+    if prefix == "cl":
+        return ("cl", name, _parent_name(first, names, ("cclass", "cnspace")), loc_key)
+    if prefix == "ro":
         return (
             "ro",
-            raw.name,
-            _parent_name(index, raw, "rclass", "rnspace"),
-            sig_name,
+            name,
+            _parent_name(first, names, ("rclass", "rnspace")),
+            _sig_name(first, names),
             loc_key,
         )
-    return (raw.prefix, raw.name, loc_key)
+    return (prefix, name, loc_key)
 
 
-def _odr_key(index: dict, raw: RawItem) -> Optional[tuple]:
+def _odr_key(
+    prefix: str, name: str, first: dict[str, str], names: dict[str, str]
+) -> Optional[tuple]:
     """ODR identity: the *entity* a definition item defines, sans
     location.  Two items sharing an ODR key but not an item key are two
     different definitions of one entity — an ODR violation.
@@ -411,52 +451,57 @@ def _odr_key(index: dict, raw: RawItem) -> Optional[tuple]:
     (declaration-only items are not definitions) and located classes.
     Internal-linkage (static) routines are exempt — one per TU is legal.
     """
-    if raw.prefix == "ro":
-        if raw.first_word("rstatic") == "yes" or raw.first_word("rstore") == "static":
+    if prefix == "ro":
+        if _first_word(first.get("rstatic")) == "yes":
             return None
-        positions = raw.get_positions("rpos")
-        if positions is None or len(positions) < 3 or positions[2].file is None:
+        if _first_word(first.get("rstore")) == "static":
+            return None
+        pos = first.get("rpos")
+        words = pos.split() if pos is not None else ()
+        # rpos holds four locations; the third is the body's start
+        if len(words) < 9 or words[6] == "NULL":
             return None  # no body: a declaration, not a definition
-        sig = raw.get_ref("rsig")
-        sig_name = ""
-        if sig is not None:
-            sig_item = index.get(sig)
-            sig_name = sig_item.name if sig_item is not None else ""
-        return ("ro", raw.name, _parent_name(index, raw, "rclass", "rnspace"), sig_name)
-    if raw.prefix == "cl":
-        loc = raw.get_location("cloc")
-        if loc is None or loc.file is None:
+        parent = _parent_name(first, names, ("rclass", "rnspace"))
+        return ("ro", name, parent, _sig_name(first, names))
+    if prefix == "cl":
+        loc = first.get("cloc")
+        words = loc.split() if loc is not None else ()
+        if len(words) < 3 or words[0] == "NULL":
             return None
-        return ("cl", raw.name, _parent_name(index, raw, "cclass", "cnspace"))
+        return ("cl", name, _parent_name(first, names, ("cclass", "cnspace")))
     return None
 
 
-def _loc_str(index: dict, raw: RawItem) -> str:
+def _loc_str(names: dict[str, str], raw: RawItem) -> str:
     """``file:line`` of an item's defining location, for ODR logs."""
-    for key in ("rloc", "cloc"):
-        loc = raw.get_location(key)
-        if loc is not None and loc.file is not None:
-            f = index.get(loc.file)
-            return f"{f.name if f is not None else '?'}:{loc.line}"
-    return "?"
+    loc = _loc_key(_first_values(raw.lines()), names, ("rloc", "cloc"))
+    return f"{loc[0]}:{loc[1]}" if loc else "?"
 
 
-def _loc_key(index: dict, raw: RawItem) -> tuple:
-    for key in ("rloc", "cloc", "tloc", "nloc", "maloc", "yloc", "floc"):
-        loc = raw.get_location(key)
-        if loc is not None and loc.file is not None:
-            f = index.get(loc.file)
-            return (f.name if f is not None else "?", loc.line, loc.column)
+def _loc_key(first: dict[str, str], names: dict[str, str], keys: tuple = _LOC_KEYS) -> tuple:
+    """(file name, line, column) of the first of ``keys`` with a known file."""
+    for key in keys:
+        value = first.get(key)
+        if value is not None:
+            words = value.split()
+            if len(words) >= 3 and words[0] != "NULL":
+                f = _name_of(names, words[0])
+                return (f if f is not None else "?", int(words[1]), int(words[2]))
     return ()
 
 
-def _parent_name(index: dict, raw: RawItem, class_key: str, ns_key: str) -> str:
-    for key in (class_key, ns_key):
-        if not key:
-            continue
-        ref = raw.get_ref(key)
-        if ref is not None:
-            parent = index.get(ref)
+def _parent_name(first: dict[str, str], names: dict[str, str], keys: tuple) -> str:
+    """``prefix:name`` of the first of ``keys`` that refers to an item."""
+    for key in keys:
+        word = _first_word(first.get(key))
+        if word is not None:
+            parent = _name_of(names, word)
             if parent is not None:
-                return f"{ref.prefix}:{parent.name}"
+                return f"{word.partition('#')[0]}:{parent}"
     return ""
+
+
+def _sig_name(first: dict[str, str], names: dict[str, str]) -> str:
+    """Name of the routine's signature type, or ``""``."""
+    word = _first_word(first.get("rsig"))
+    return (_name_of(names, word) or "") if word is not None else ""

@@ -117,17 +117,6 @@ class Attribute:
     def __repr__(self) -> str:
         return f"Attribute(key={self.key!r}, words={self.words!r}, text={self.text!r})"
 
-    def clone(self) -> "Attribute":
-        """Independent copy sharing the (interned) key and, when the
-        words are still unsplit, the raw value text."""
-        a = Attribute.__new__(Attribute)
-        a.key = self.key
-        a.text = self.text
-        w = self._words
-        a._words = list(w) if w is not None else None
-        a._rest = self._rest
-        return a
-
     def render(self) -> str:
         if self.text is not None:
             return f"{self.key} {self.text}".rstrip()
@@ -178,6 +167,22 @@ class RawItem:
     def attributes(self, value: list[Attribute]) -> None:
         self._attrs = value
         self._raw = None
+
+    @classmethod
+    def from_lines(cls, prefix: str, id: int, name: str, lines: list[str]) -> "RawItem":
+        """An item holding ``lines`` as its unparsed attribute lines."""
+        item = cls(prefix, id, name)
+        item._attrs = None
+        item._raw = lines
+        return item
+
+    def lines(self) -> list[str]:
+        """The item's attribute lines: the unparsed ones the reader
+        stored, else each attribute rendered.  Nothing is materialised."""
+        raw = self._raw
+        if raw is not None:
+            return raw
+        return [a.render() for a in self._attrs]
 
     def __eq__(self, other: object):
         if other.__class__ is not RawItem:
@@ -283,9 +288,6 @@ class PdbDocument:
             if i.prefix == ref.prefix and i.id == ref.id:
                 return i
         return None
-
-    def index(self) -> dict[ItemRef, RawItem]:
-        return {i.ref: i for i in self.items}
 
     def __iter__(self) -> Iterator[RawItem]:
         return iter(self.items)

@@ -200,6 +200,37 @@ def materialize_attrs(prefix: str, lines: list) -> list:
     return out
 
 
+def render_lines(prefix: str, lines: list, remap: Optional[dict] = None) -> list:
+    """What :meth:`Attribute.render` gives for each of an item's raw
+    attribute lines, without building the attributes.
+
+    A word-grammar line is split and re-joined with single spaces, each
+    word first mapped through ``remap`` (``word -> replacement``) when
+    one is given; a text-grammar line (``fmsg``, ``cmem``, ``matext``,
+    ``ttext``) keeps its value verbatim, so a ref-like word in a message
+    is never remapped.  On rendered lines this is the identity, which is
+    what keeps write∘parse a fixed point for unmaterialised items."""
+    ki_get = _KEY_INFO[prefix].get
+    out: list = []
+    append = out.append
+    for line in lines:
+        key, _, rest = line.partition(" ")
+        info = ki_get(key)
+        if info is None:
+            info = _key_info(prefix, key, line)
+        if info[1]:
+            append(f"{key} {rest}".rstrip())
+            continue
+        words = rest.split()
+        if not words:
+            append(key)
+            continue
+        if remap is not None:
+            words = [remap.get(w, w) for w in words]
+        append(key + " " + " ".join(words))
+    return out
+
+
 def _parse_pdb_regex(text: str) -> PdbDocument:
     """Reference implementation: one header + one item regex per line."""
     doc: PdbDocument | None = None

@@ -15,22 +15,26 @@ the real PDT distribution is the EDG front end + IL Analyzer pipeline.
 Each module exposes both a library function and a CLI ``main()``.
 """
 
-from repro.tools.pdbconv import convert_pdb
-from repro.tools.pdbhtml import generate_html
-from repro.tools.pdbmerge import merge_pdbs
-from repro.tools.pdbtree import (
-    print_func_tree,
-    render_call_tree,
-    render_class_tree,
-    render_inclusion_tree,
-)
+import importlib
 
-__all__ = [
-    "convert_pdb",
-    "generate_html",
-    "merge_pdbs",
-    "print_func_tree",
-    "render_call_tree",
-    "render_class_tree",
-    "render_inclusion_tree",
-]
+#: re-exported name -> the tool module defining it.  Imported on first
+#: access (module ``__getattr__``), so ``python -m repro.tools.<tool>``
+#: does not find its module already imported by this package
+_EXPORTS = {
+    "convert_pdb": "pdbconv",
+    "generate_html": "pdbhtml",
+    "merge_pdbs": "pdbmerge",
+    "print_func_tree": "pdbtree",
+    "render_call_tree": "pdbtree",
+    "render_class_tree": "pdbtree",
+    "render_inclusion_tree": "pdbtree",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -29,8 +29,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "— §3.1's 'selection of the constructs to be reported'",
     )
     built = build_to_file("cxxparse", args, options)
-    if built is None:
-        return 1
+    if isinstance(built, int):
+        return built
     print_summary(*built)
     return 0
 

@@ -72,13 +72,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from repro import obs
 from repro.buildcache import BuildCache, content_hash
 from repro.cpp import CppError, Frontend, FrontendOptions
 from repro.cpp.instantiate import InstantiationMode
 from repro.ductape.pdb import PDB, MergeStats
+from repro.pdbfmt.reader import parse_pdb
 from repro.pdbfmt.writer import write_pdb
 
 #: bump when the PDB output of a compilation changes incompatibly, so
@@ -150,7 +151,8 @@ class TUReport:
 class TUFailure:
     """One quarantined TU: why it contributed nothing to the merge.
 
-    ``phase`` is ``frontend`` (unrecoverable or cascading source
+    ``phase`` is ``read`` (the source file cannot be read; the TU is
+    never compiled), ``frontend`` (unrecoverable or cascading source
     errors), ``timeout`` (exceeded the per-TU wall-clock bound), or
     ``worker`` (the worker process died and the retry died too)."""
 
@@ -169,11 +171,15 @@ class TUCompileError(Exception):
     flow through ``Exception.args``, so instances survive the pickling
     round-trip from worker processes unchanged."""
 
-    def __init__(self, source: str, message: str, diagnostics: tuple = ()):
-        super().__init__(source, message, tuple(diagnostics))
+    def __init__(
+        self, source: str, message: str, diagnostics: tuple = (), phase: str = "frontend"
+    ):
+        super().__init__(source, message, tuple(diagnostics), phase)
         self.source = source
         self.message = message
         self.diagnostics = list(diagnostics)
+        #: the :class:`TUFailure` phase; ``read`` is bad input (exit 2)
+        self.phase = phase
 
     def __str__(self) -> str:
         return f"{self.source}: {self.message}"
@@ -454,7 +460,7 @@ def build(
             return files[name]
         try:
             return Path(name).read_text()
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None
 
     def run_pool(tasks: list[tuple[int, str]], workers: int, retries: int = 0) -> None:
@@ -530,6 +536,8 @@ def build(
                             wall_s=0.0,
                             errors=entry.errors,
                         )
+                    elif read_content(source) is None:
+                        failures[i] = TUFailure(source, "read", "cannot read source")
                     else:
                         to_compile.append((i, source))
                     if cache is not None and observer is not None:
@@ -553,7 +561,7 @@ def build(
 
             if failures and not keep_going:
                 f = failures[min(failures)]
-                raise TUCompileError(f.source, f.error, tuple(f.diagnostics))
+                raise TUCompileError(f.source, f.error, tuple(f.diagnostics), f.phase)
 
             for i in range(len(sources)):
                 if i in failures:
@@ -606,7 +614,7 @@ def build(
                     merged = PDB.from_text(texts[0])
                     stats.output_text = texts[0]
                 else:
-                    merged, per_fold = merge_pdbs([PDB.from_text(t) for t in texts])
+                    merged, per_fold = merge_pdbs([parse_pdb(t) for t in texts])
                     stats.merge = sum(per_fold, MergeStats())
             stats.merge_wall_s = time.perf_counter() - tm
             stats.output_items = len(merged.doc.items)
@@ -705,19 +713,21 @@ def parse_build_args(
 
 def build_to_file(
     prog: str, args: argparse.Namespace, options: BuildOptions, **build_kwargs
-) -> Optional[tuple[str, BuildStats]]:
+) -> Union[int, tuple[str, BuildStats]]:
     """Run :func:`build` for a CLI and write the output PDB (``-o``, else
     the first source with a ``.pdb`` suffix); returns ``(path, stats)``.
 
     A :class:`TUCompileError` prints its diagnostics and a
-    ``prog: error: ...`` line to stderr and returns None."""
+    ``prog: error: path: ...`` line to stderr and returns the exit
+    status: 2 for a source that cannot be read, 1 for one that does not
+    compile."""
     try:
         merged, stats = build(args.source, options, **build_kwargs)
     except TUCompileError as exc:
         for line in exc.diagnostics:
             print(line, file=sys.stderr)
         print(f"{prog}: error: {exc}", file=sys.stderr)
-        return None
+        return 2 if exc.phase == "read" else 1
     out = args.output or (args.source[0].rsplit(".", 1)[0] + ".pdb")
     with open(out, "w") as f:
         f.write(stats.output_text if stats.output_text is not None else merged.to_text())
@@ -812,8 +822,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         trace=bool(args.trace_json or args.self_profile),
         checks=args.check,
     )
-    if built is None:
-        return 1
+    if isinstance(built, int):
+        return built
     out, stats = built
     if args.stats_json:
         with open(args.stats_json, "w") as f:

@@ -14,7 +14,7 @@ out of the same fold.  ``PDB.merge`` runs the same code for one pair.
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+from typing import Optional, Union
 
 from repro.ductape.pdb import PDB, MergeIndex, MergeStats
 from repro.pdbfmt.items import PdbDocument, RawItem
@@ -22,33 +22,33 @@ from repro.tools.cli import read_pdb
 
 
 def _clone(doc: PdbDocument) -> PdbDocument:
-    """Deep-copy a document (same ids, names, attribute order — identical text)."""
-    copy = PdbDocument(version=doc.version)
-    for raw in doc.items:
-        item = RawItem(prefix=raw.prefix, id=raw.id, name=raw.name)
-        for a in raw.attributes:
-            item.attributes.append(a.clone())
-        copy.items.append(item)
-    return copy
+    """Copy a document (same ids, names, attribute lines — identical text)
+    without materialising its attributes."""
+    return PdbDocument(
+        version=doc.version,
+        items=[RawItem.from_lines(i.prefix, i.id, i.name, list(i.lines())) for i in doc.items],
+    )
 
 
 def merge_pdbs(
-    pdbs: list[PDB], odr_log: Optional[list] = None
+    inputs: list[Union[PDB, PdbDocument]], odr_log: Optional[list] = None
 ) -> tuple[PDB, list[MergeStats]]:
-    """Fold a list of PDBs left-to-right into one *fresh* merged PDB.
+    """Fold a list of PDBs (or parsed documents) left-to-right into one
+    *fresh* merged PDB.
 
-    The inputs are never modified — the first PDB is deep-copied before
-    the others are folded in — so callers can keep reusing them (the
+    The inputs are never modified — the first is copied before the
+    others are folded in — so callers can keep reusing them (the
     pdbbuild cache hands out the same parsed per-TU PDBs repeatedly).
     Returns one :class:`MergeStats` per folded input.  Pass ``odr_log``
     (a list) to collect One-Definition-Rule conflict details across all
     the folds (``--check``).
     """
-    if not pdbs:
+    docs = [p.doc if isinstance(p, PDB) else p for p in inputs]
+    if not docs:
         return PDB(), []
-    doc = _clone(pdbs[0].doc)
+    doc = _clone(docs[0])
     index = MergeIndex(doc)
-    stats = [index.fold(other.doc, odr_log) for other in pdbs[1:]]
+    stats = [index.fold(other, odr_log) for other in docs[1:]]
     return PDB(doc), stats
 
 
@@ -88,7 +88,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"  {c['kind']} '{c['name']}': defined at {c['existing']} "
                 f"and {c['incoming']}"
             )
-    print(f"{args.output}: {len(merged.items())} items")
+    print(f"{args.output}: {len(merged.doc.items)} items")
     return 0
 
 

@@ -213,6 +213,56 @@ class TestKeepGoing:
         assert s2.cache_hits == 9 and s2.cache_misses == 1
 
 
+# -- a source file that cannot be read -----------------------------------
+
+
+class TestMissingSource:
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("tool", ["cxxparse", "pdbbuild"])
+    def test_missing_source_is_a_located_error(self, tool, binary, tmp_path, capsys):
+        """An absent source, or one that does not decode as text."""
+        import importlib
+
+        main = importlib.import_module(f"repro.tools.{tool}").main
+        missing = str(tmp_path / "missing.cpp")
+        if binary:
+            Path(missing).write_bytes(b"\xff\xfeint main( ) { }\n")
+        assert main([missing, "-o", str(tmp_path / "out.pdb")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"{tool}: error: {missing}: cannot read source\n"
+        assert not (tmp_path / "out.pdb").exists()
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_keep_going_quarantines_missing_tu(self, cache, tmp_path, capsys):
+        ok = tmp_path / "ok.cpp"
+        ok.write_text("int f( ) { return 1; }\nint main( ) { return f( ); }\n")
+        missing = str(tmp_path / "missing.cpp")
+        cache_args = ["--cache-dir", str(tmp_path / "cache")] if cache else ["--no-cache"]
+        alone = tmp_path / "alone.pdb"
+        assert pdbbuild_main([str(ok), "-o", str(alone), *cache_args]) == 0
+        records = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"k{jobs}.pdb"
+            stats = tmp_path / f"s{jobs}.json"
+            argv = [str(ok), missing, "-k", "-j", jobs, "-o", str(out), "--stats-json", str(stats)]
+            assert pdbbuild_main(argv + cache_args) == 1
+            assert out.read_bytes() == alone.read_bytes()
+            records.append(json.loads(stats.read_text())["failures"])
+        assert records[0] == records[1] == [
+            {
+                "source": missing,
+                "phase": "read",
+                "error": "cannot read source",
+                "diagnostics": [],
+                "retries": 0,
+            }
+        ]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"pdbbuild: error: {missing}: [read] cannot read source" in err
+
+
 # -- hung and crashed workers -------------------------------------------
 
 

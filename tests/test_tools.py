@@ -1,6 +1,12 @@
 """Tool tests: pdbconv, pdbtree, pdbhtml, pdbmerge, cxxparse CLIs."""
 
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analyzer import analyze
@@ -237,11 +243,13 @@ class TestPdbHtmlSourcePages:
 
 # -- malformed or missing PDB input -------------------------------------
 
-#: (file name, text, line the error names); None text = the file is absent
+#: (file name, text or bytes, line the error names); None = the file is absent
 BAD_INPUTS = {
     "missing": ("missing.pdb", None, None),
     "no-header": ("noheader.pdb", "ro#1 foo\nrloc so#1 1 1\n", 1),
     "attr-before-item": ("attrfirst.pdb", "<PDB 3.0>\nrloc so#1 1 1\n", 2),
+    # random bytes, not UTF-8 (0xff never occurs in UTF-8)
+    "binary": ("binary.pdb", b"\xff" + random.Random(7).randbytes(199), None),
 }
 
 
@@ -264,7 +272,9 @@ def test_bad_pdb_input_is_a_located_error(tool, case, tmp_path, capsys):
     traceback."""
     fname, text, line = BAD_INPUTS[case]
     path = tmp_path / fname
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     main, extra = _reader_cli(tool, tmp_path)
     assert main([str(path), *extra]) == 2
@@ -274,3 +284,35 @@ def test_bad_pdb_input_is_a_located_error(tool, case, tmp_path, capsys):
     assert str(path) in err
     if line is not None:
         assert f"{path}:{line}: " in err
+
+
+# -- running a tool as a module ------------------------------------------
+
+
+@pytest.mark.parametrize("tool", ["pdbconv", "pdbhtml", "pdbmerge", "pdbtree"])
+def test_python_m_runs_without_runpy_warning(tool):
+    """``repro.tools`` re-exports the tools' functions lazily, so
+    ``python -m repro.tools.<tool>`` does not find its module already
+    imported by the package (a runpy RuntimeWarning)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", f"repro.tools.{tool}", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_package_reexports_resolve():
+    import repro.tools as tools
+    from repro.tools import merge_pdbs
+    from repro.tools.pdbmerge import merge_pdbs as defined
+
+    assert merge_pdbs is defined
+    for name in tools.__all__:
+        assert callable(getattr(tools, name))
+    with pytest.raises(AttributeError):
+        tools.no_such_tool
